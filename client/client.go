@@ -8,12 +8,17 @@
 //
 // The link to the server is UDP with the same delivery contract as Kite's
 // replica-to-replica transport: datagrams may be lost, duplicated or
-// reordered. The client retransmits unacknowledged requests every
+// reordered. The client retransmits requests unacknowledged for longer than
 // RetryInterval until OpTimeout; the server executes each (session, seq)
 // exactly once and answers retransmissions from a reply cache, so retried
-// writes and RMWs are safe. DoBatch pipelines many operations into a single
-// request datagram — one round trip for a whole batch of relaxed accesses —
-// while replies stay per-op so one lost reply costs one retransmission.
+// writes and RMWs are safe. Submitting an op never makes a syscall: its
+// frame is packed into an open datagram that a per-Client flusher goroutine
+// posts at once, so frames staged while a send is in flight share the next
+// one — opportunistic batching with no linger. Replies come back packed the
+// same way. DoBatch pipelines many operations into a single request frame —
+// one round trip for a whole batch of relaxed accesses — while replies stay
+// per-op frames, so a lost datagram costs the retransmission of just the
+// ops it carried.
 //
 // A session is a single logical thread of control: its synchronous methods
 // must not be called concurrently, and its operations take effect in
@@ -92,7 +97,9 @@ type Options struct {
 	// 10s). It is the hard lifetime of a request on the wire; per-call
 	// deadlines shorter than this come from the operation's context.
 	OpTimeout time.Duration
-	// RetryInterval is the retransmission period (default 50ms).
+	// RetryInterval is how long a request may go unacknowledged before it
+	// is retransmitted, and the period of the retry pass that checks
+	// (default 50ms).
 	RetryInterval time.Duration
 	// MaxInflight caps outstanding operations per session; submissions
 	// block once the window is full (default 64).
@@ -120,22 +127,22 @@ type pendingKey struct {
 	seq  uint64
 }
 
-// batchGroup is the shared retransmission state of the ops of one batch
-// frame: the frame is resent once per retry pass, not once per op.
-type batchGroup struct {
+// txFrame is an encoded request frame and when it was last transmitted.
+// Frames are immutable once registered; sent is guarded by Client.mu.
+type txFrame struct {
 	frame []byte
-	pass  uint64 // last retry pass that resent the frame
+	sent  time.Time
 }
 
-// pendingOp is one unacknowledged request: its encoded datagram for
+// pendingOp is one unacknowledged request: its encoded frame for
 // retransmission, the completion callback, and the give-up deadline.
 // Exactly one of cb (data ops) and ctrlCB (control ops) is set. cb is
 // mutated only under Client.mu while the op is registered; it is cleared
 // when the waiter detaches (context expiry) so the result is delivered at
 // most once.
 type pendingOp struct {
-	frame    []byte
-	batch    *batchGroup // nil for individually framed ops
+	tx       txFrame
+	batch    *txFrame // the shared frame of a DoBatch chunk; nil for individually framed ops
 	ctx      context.Context
 	deadline time.Time
 	cb       func(Result)
@@ -149,18 +156,19 @@ type pendingOp struct {
 type Client struct {
 	opts Options
 	conn *net.UDPConn
-	// bc batches retry-pass retransmissions into sendmmsg calls on the
-	// connected socket (falling back to per-datagram writes where the
-	// batch syscalls are unavailable).
-	bc *transport.BatchConn
+	// bc does the socket's batched I/O (sendmmsg/recvmmsg where available,
+	// per-datagram syscalls elsewhere): flushLoop is its one writer and
+	// recvLoop its one reader, as its contract requires.
+	bc  *transport.BatchConn
+	out outbox
 
 	mu      sync.Mutex
 	pending map[pendingKey]*pendingOp // data ops: key {sess, seq}
 	control map[uint64]*pendingOp     // control ops: key seq
 	ctrlSeq uint64
-	pass    uint64 // retry pass counter (batch resend dedup)
 
 	closed atomic.Bool
+	stop   chan struct{} // closed by Close: stops the flusher and the retry pass
 	wg     sync.WaitGroup
 
 	// Node info learned from the server's ping replies (at Dial, and again
@@ -193,6 +201,8 @@ func Dial(addr string, opts Options) (*Client, error) {
 		opts:    opts,
 		conn:    conn,
 		bc:      transport.NewBatchConn(conn, nil),
+		out:     outbox{notify: make(chan struct{}, 1)},
+		stop:    make(chan struct{}),
 		pending: make(map[pendingKey]*pendingOp),
 		control: make(map[uint64]*pendingOp),
 		// Control seqs start at a random point so that a client whose
@@ -201,8 +211,9 @@ func Dial(addr string, opts Options) (*Client, error) {
 		// open-dedup cache — nor match the predecessor's late replies.
 		ctrlSeq: rand.Uint64(),
 	}
-	c.wg.Add(2)
+	c.wg.Add(3)
 	go c.recvLoop()
+	go c.flushLoop()
 	go c.retryLoop()
 
 	if _, _, err := c.controlRound(proto.ClientOpPing, 0, 0, opts.DialTimeout); err != nil {
@@ -293,6 +304,7 @@ func (c *Client) Close() error {
 	if c.closed.Swap(true) {
 		return nil
 	}
+	close(c.stop)
 	c.conn.Close()
 	c.wg.Wait()
 	// Fail everything still outstanding. Data ops release their window
@@ -336,20 +348,135 @@ func (c *Client) detach(key pendingKey) bool {
 	return true
 }
 
-// recvLoop demultiplexes replies to pending operations.
-func (c *Client) recvLoop() {
-	defer c.wg.Done()
-	buf := make([]byte, 2048)
-	for {
-		n, err := c.conn.Read(buf)
-		if err != nil {
-			return // closed
-		}
-		var rep proto.ClientReply
-		if rep.Unmarshal(buf[:n]) != nil {
+// outbox packs outgoing frames into datagrams for flushLoop: a frame joins
+// the open (last) datagram if the result stays within
+// proto.MaxClientFrameLen, and opens a new one otherwise. Nothing waits to
+// fill a datagram — the flusher takes whatever is staged as soon as it is
+// notified, so a lone frame goes out at once and frames staged while a
+// send is in flight ride the next one. The notify channel is edge-triggered
+// like the replica transport's send ring.
+type outbox struct {
+	mu     sync.Mutex
+	dgrams [][]byte // staged datagrams; buffers are recycled across flushes
+	notify chan struct{}
+}
+
+// stage packs frames and wakes the flusher. The frames are copied, so the
+// caller keeps ownership.
+func (o *outbox) stage(frames ...[]byte) {
+	o.mu.Lock()
+	for _, f := range frames {
+		k := len(o.dgrams)
+		if k > 0 && len(o.dgrams[k-1])+len(f) <= proto.MaxClientFrameLen {
+			o.dgrams[k-1] = append(o.dgrams[k-1], f...)
 			continue
 		}
-		c.mu.Lock()
+		if k < cap(o.dgrams) && cap(o.dgrams[:k+1][k]) > 0 {
+			o.dgrams = o.dgrams[:k+1] // reuse a buffer from an earlier flush
+		} else {
+			o.dgrams = append(o.dgrams, make([]byte, 0, proto.MaxClientFrameLen))
+		}
+		o.dgrams[k] = append(o.dgrams[k][:0], f...)
+	}
+	o.mu.Unlock()
+	select {
+	case o.notify <- struct{}{}:
+	default: // flusher already signalled
+	}
+}
+
+// take returns the staged datagrams, leaving spare (the buffers of the
+// previous flush, now sent) in their place for reuse.
+func (o *outbox) take(spare [][]byte) [][]byte {
+	o.mu.Lock()
+	full := o.dgrams
+	o.dgrams = spare[:0]
+	o.mu.Unlock()
+	return full
+}
+
+// flushLoop posts staged datagrams, everything staged per wake-up in one
+// WriteBatch (sendmmsg where available). It is the socket's only writer.
+func (c *Client) flushLoop() {
+	defer c.wg.Done()
+	var spare [][]byte
+	var dgs []transport.Datagram
+	for {
+		select {
+		case <-c.out.notify:
+		case <-c.stop:
+			return
+		}
+		full := c.out.take(spare)
+		dgs = dgs[:0]
+		for _, b := range full {
+			dgs = append(dgs, transport.Datagram{Buf: b}) // nil Dest: the connected peer
+		}
+		for sent := 0; sent < len(dgs); {
+			n, err := c.bc.WriteBatch(dgs[sent:])
+			sent += n
+			if err != nil {
+				if c.closed.Load() {
+					return
+				}
+				sent++ // e.g. a refused send: that datagram is lost, retries cover it
+			}
+		}
+		if len(full) > transport.MaxIOBatch {
+			// Keep a burst's worth of buffers for reuse, not a backlog's.
+			clear(full[transport.MaxIOBatch:])
+			full = full[:transport.MaxIOBatch]
+		}
+		spare = full
+	}
+}
+
+// recvLoop reads reply datagrams in batched syscalls (recvmmsg where
+// available) and demultiplexes their frames to pending operations.
+func (c *Client) recvLoop() {
+	defer c.wg.Done()
+	bufs := make([][]byte, transport.MaxIOBatch)
+	for i := range bufs {
+		bufs[i] = make([]byte, 2048)
+	}
+	sizes := make([]int, transport.MaxIOBatch)
+	var got []delivery
+	for {
+		n, err := c.bc.ReadBatch(bufs, sizes)
+		if err != nil {
+			if c.closed.Load() || errors.Is(err, net.ErrClosed) {
+				return
+			}
+			continue // e.g. ICMP port unreachable while the server restarts
+		}
+		for i := 0; i < n; i++ {
+			got = c.deliver(bufs[i][:sizes[i]], got)
+		}
+	}
+}
+
+// delivery pairs a reply frame with the op it completes.
+type delivery struct {
+	op  *pendingOp
+	rep proto.ClientReply
+}
+
+// deliver completes the ops answered by one datagram's reply frames,
+// matching them all under one lock acquisition. got is scratch space,
+// returned for reuse.
+func (c *Client) deliver(dgram []byte, got []delivery) []delivery {
+	got = got[:0]
+	c.mu.Lock()
+	for len(dgram) > 0 {
+		frame, rest, err := proto.NextFrame(dgram, proto.ReplyFrameLen)
+		if err != nil {
+			break // corrupt frame: drop the rest, like a bad checksum
+		}
+		dgram = rest
+		var rep proto.ClientReply
+		if rep.Unmarshal(frame) != nil {
+			continue
+		}
 		var op *pendingOp
 		if rep.Flags&proto.ClientFlagControl != 0 {
 			if op = c.control[rep.Seq]; op != nil {
@@ -361,15 +488,20 @@ func (c *Client) recvLoop() {
 				delete(c.pending, k)
 			}
 		}
-		c.mu.Unlock()
-		if op == nil {
-			continue // duplicate or stale reply
+		if op != nil { // else a duplicate or stale reply
+			got = append(got, delivery{op: op, rep: rep})
 		}
-		if op.sess != nil {
-			op.sess.completed(op.seq)
-		}
-		c.complete(op, &rep)
 	}
+	c.mu.Unlock()
+	for i := range got {
+		d := &got[i]
+		if d.op.sess != nil {
+			d.op.sess.completed(d.op.seq)
+		}
+		c.complete(d.op, &d.rep)
+		*d = delivery{}
+	}
+	return got
 }
 
 // statusErr maps a wire status to a client error (nil for ClientOK).
@@ -415,28 +547,37 @@ func (c *Client) complete(op *pendingOp, rep *proto.ClientReply) {
 	op.cb(res)
 }
 
-// retryLoop retransmits unacknowledged requests, expires ops past their
-// deadline, and sweeps context-canceled ops — the reliability layer over
-// the lossy datagram link, and the place per-op cancellation is observed
-// for waiters that are not blocked in Do.
+// retryLoop retransmits requests unacknowledged for at least
+// RetryInterval, expires ops past their deadline, and sweeps
+// context-canceled ops — the reliability layer over the lossy datagram
+// link, and the place per-op cancellation is observed for waiters that are
+// not blocked in Do. A frame sent less than RetryInterval ago is not
+// resent: its reply may simply still be on its way.
 func (c *Client) retryLoop() {
 	defer c.wg.Done()
 	tick := time.NewTicker(c.opts.RetryInterval)
 	defer tick.Stop()
-	// Frames are immutable once registered, so the pass stages them under
-	// the lock and flushes them in batched syscalls after releasing it (a
+	// Frames are immutable once registered, so the pass collects them
+	// under the lock and stages them for the flusher after releasing it (a
 	// retransmission that races its reply is harmless — the server dedups).
-	var dgs []transport.Datagram
-	for range tick.C {
-		if c.closed.Load() {
+	var frames [][]byte
+	resend := func(tx *txFrame, now time.Time) {
+		if now.Sub(tx.sent) >= c.opts.RetryInterval {
+			tx.sent = now
+			frames = append(frames, tx.frame)
+		}
+	}
+	for {
+		var now time.Time
+		select {
+		case now = <-tick.C:
+		case <-c.stop:
 			return
 		}
-		now := time.Now()
 		var expired []*pendingOp
 		var canceled []func()
-		dgs = dgs[:0]
+		frames = frames[:0]
 		c.mu.Lock()
-		c.pass++
 		for k, op := range c.pending {
 			if now.After(op.deadline) {
 				delete(c.pending, k)
@@ -454,14 +595,10 @@ func (c *Client) retryLoop() {
 				})
 			}
 			if op.batch != nil {
-				if op.batch.pass == c.pass {
-					continue // frame already resent this pass
-				}
-				op.batch.pass = c.pass
-				dgs = append(dgs, transport.Datagram{Buf: op.batch.frame})
-				continue
+				resend(op.batch, now) // once per chunk, not once per op
+			} else {
+				resend(&op.tx, now)
 			}
-			dgs = append(dgs, transport.Datagram{Buf: op.frame})
 		}
 		for k, op := range c.control {
 			if now.After(op.deadline) {
@@ -469,11 +606,11 @@ func (c *Client) retryLoop() {
 				expired = append(expired, op)
 				continue
 			}
-			dgs = append(dgs, transport.Datagram{Buf: op.frame})
+			resend(&op.tx, now)
 		}
 		c.mu.Unlock()
-		if len(dgs) > 0 {
-			c.bc.WriteBatch(dgs) // nil Dest: the connected peer
+		if len(frames) > 0 {
+			c.out.stage(frames...)
 		}
 		for _, deliver := range canceled {
 			deliver()
@@ -491,10 +628,10 @@ func (c *Client) retryLoop() {
 	}
 }
 
-// register installs op (or a batch of ops) and transmits the frame once
-// (retryLoop takes over). The closed check happens under the same lock
-// Close snapshots the maps with, so an op either lands in the snapshot
-// (and is failed by Close) or observes closed here — it cannot be
+// register installs op (or a batch of ops) and stages the frame for its
+// first transmission (retryLoop takes over). The closed check happens under
+// the same lock Close snapshots the maps with, so an op either lands in the
+// snapshot (and is failed by Close) or observes closed here — it cannot be
 // registered and then orphaned.
 func (c *Client) register(frame []byte, ops []*pendingOp, keys []pendingKey) bool {
 	c.mu.Lock()
@@ -516,7 +653,7 @@ func (c *Client) register(frame []byte, ops []*pendingOp, keys []pendingKey) boo
 		}
 	}
 	c.mu.Unlock()
-	c.conn.Write(frame)
+	c.out.stage(frame)
 	return true
 }
 
@@ -529,7 +666,7 @@ func (c *Client) controlRound(opCode uint8, sess uint32, key uint64, timeout tim
 	seq := c.ctrlSeq
 	c.mu.Unlock()
 	req := proto.ClientRequest{Op: opCode, Sess: sess, Seq: seq, Key: key}
-	frame, err := req.AppendMarshal(nil)
+	frame, err := req.AppendMarshal(make([]byte, 0, req.WireLen()))
 	if err != nil {
 		return 0, nil, err
 	}
@@ -539,9 +676,10 @@ func (c *Client) controlRound(opCode uint8, sess uint32, key uint64, timeout tim
 		err  error
 	}
 	done := make(chan ctrlRes, 1)
+	now := time.Now()
 	op := &pendingOp{
-		frame:    frame,
-		deadline: time.Now().Add(timeout),
+		tx:       txFrame{frame: frame, sent: now},
+		deadline: now.Add(timeout),
 		ctrlCB: func(rep *proto.ClientReply, err error) {
 			var id uint32
 			var val []byte
@@ -711,12 +849,14 @@ func (s *Session) submit(ctx context.Context, op kite.Op, cb func(Result)) (pend
 	req.Seq = s.seq
 	req.Acked = s.frontier + 1
 	s.mu.Unlock()
-	frame, _ := req.AppendMarshal(nil) // cannot fail: payload sizes checked above
+	// Sized exactly: the frame is kept for retransmission until acked.
+	frame, _ := req.AppendMarshal(make([]byte, 0, req.WireLen())) // cannot fail: payload sizes checked above
 	key := pendingKey{sess: s.id, seq: req.Seq}
+	now := time.Now()
 	ok := s.c.register(frame, []*pendingOp{{
-		frame:    frame,
+		tx:       txFrame{frame: frame, sent: now},
 		ctx:      ctx,
-		deadline: time.Now().Add(s.c.opts.OpTimeout),
+		deadline: now.Add(s.c.opts.OpTimeout),
 		cb:       cb,
 		sess:     s,
 		seq:      req.Seq,
@@ -761,9 +901,11 @@ func (s *Session) DoAsync(op kite.Op, cb func(Result)) {
 	s.submit(context.Background(), op, cb)
 }
 
-// DoBatch pipelines ops to the server in as few datagrams as possible
-// (many ops per frame, consecutive seqs) and waits for all results —
+// DoBatch pipelines ops to the server in as few frames as possible (many
+// ops per batch frame, consecutive seqs; the frames share datagrams with
+// any other traffic staged at the same time) and waits for all results —
 // one round trip for a batch of relaxed accesses instead of one per op.
+// Replies come back as one frame per op, packed into shared datagrams.
 // Results are index-aligned with ops; the batch occupies consecutive
 // positions in session order. If any op's payload is oversized the whole
 // batch is rejected up front with ErrValueTooLong and no op executes.
@@ -899,15 +1041,16 @@ func (s *Session) submitChunk(ctx context.Context, ops []kite.Op, base, chunkMax
 		}
 		return 0, nil, err
 	}
-	group := &batchGroup{frame: frame}
+	now := time.Now()
+	group := &txFrame{frame: frame, sent: now}
 	pend := make([]*pendingOp, n)
 	keys := make([]pendingKey, n)
-	deadline := time.Now().Add(s.c.opts.OpTimeout)
+	deadline := now.Add(s.c.opts.OpTimeout)
 	for i := 0; i < n; i++ {
 		idx := base + i
 		seq := b.Seq + uint64(i)
 		pend[i] = &pendingOp{
-			frame: frame, batch: group, ctx: ctx, deadline: deadline,
+			batch: group, ctx: ctx, deadline: deadline,
 			cb:   func(r Result) { cb(idx, r) },
 			sess: s, seq: seq,
 		}

@@ -292,14 +292,41 @@ func TestE2EDialErrors(t *testing.T) {
 	}
 }
 
-// lossyProxy forwards datagrams between a client and a server, dropping
-// server->client replies while drop() says so — simulating reply loss on
-// the lossy link to force the client's retransmission path.
+// lossyProxy forwards datagrams between a client and a server, simulating
+// loss on the lossy link to force the client's retransmission path: it
+// drops the next drops server->client datagrams that carry a data reply,
+// and, when every > 0, every every-th datagram in each direction whole —
+// all the frames it carries.
 type lossyProxy struct {
 	front *net.UDPConn // client talks to this
 	back  *net.UDPConn // proxy talks to the server through this
 	mu    sync.Mutex
-	drops int // replies still to drop
+	drops int // data-reply datagrams still to drop
+	every int // drop every every-th datagram per direction (0: off)
+	// Per-direction datagram counts, and the dropped datagrams that carried
+	// more than one frame.
+	fwd, rev, droppedTrains int
+}
+
+// dropNth decides whether the n-th datagram of a direction (1-based) falls
+// to the every-th rule, counting dropped multi-frame trains. Caller holds mu.
+func (p *lossyProxy) dropNth(n int, dgram []byte, frameLen func([]byte) (int, error)) bool {
+	if p.every <= 0 || n%p.every != 0 {
+		return false
+	}
+	frames := 0
+	for len(dgram) > 0 {
+		_, rest, err := proto.NextFrame(dgram, frameLen)
+		if err != nil {
+			break
+		}
+		dgram = rest
+		frames++
+	}
+	if frames > 1 {
+		p.droppedTrains++
+	}
+	return true
 }
 
 func newLossyProxy(t *testing.T, serverAddr string, drops int) *lossyProxy {
@@ -331,10 +358,16 @@ func newLossyProxy(t *testing.T, serverAddr string, drops int) *lossyProxy {
 			camu.Lock()
 			clientAddr = ca
 			camu.Unlock()
-			back.Write(buf[:n])
+			p.mu.Lock()
+			p.fwd++
+			drop := p.dropNth(p.fwd, buf[:n], proto.RequestFrameLen)
+			p.mu.Unlock()
+			if !drop {
+				back.Write(buf[:n])
+			}
 		}
 	}()
-	go func() { // server -> client, dropping data replies while drops > 0
+	go func() { // server -> client
 		buf := make([]byte, 2048)
 		for {
 			n, err := back.Read(buf)
@@ -344,10 +377,12 @@ func newLossyProxy(t *testing.T, serverAddr string, drops int) *lossyProxy {
 			var rep proto.ClientReply
 			isData := rep.Unmarshal(buf[:n]) == nil && rep.Flags&proto.ClientFlagControl == 0
 			p.mu.Lock()
+			p.rev++
 			drop := isData && p.drops > 0
 			if drop {
 				p.drops--
 			}
+			drop = p.dropNth(p.rev, buf[:n], proto.ReplyFrameLen) || drop
 			p.mu.Unlock()
 			if drop {
 				continue
@@ -401,6 +436,122 @@ func TestE2EDroppedRepliesRetry(t *testing.T) {
 	}
 	if cl.Servers[0].Stats().Retransmits.Load() == 0 {
 		t.Fatal("server saw no retransmits — proxy dropped nothing?")
+	}
+}
+
+// TestE2ELostTrainsExactlyOnce pipelines FAAs from 8 sessions of one client
+// through a link that drops every 5th datagram whole in both directions.
+// The sessions share datagrams, so a drop loses several sessions' requests
+// or replies at once; retransmission must recover every one of them
+// without losing or double-applying any: every op completes exactly once,
+// with distinct old values, and the counter ends at the sum of the deltas.
+func TestE2ELostTrainsExactlyOnce(t *testing.T) {
+	cl := startCluster(t, 3)
+	proxy := newLossyProxy(t, cl.addr(0), 0)
+	proxy.mu.Lock()
+	proxy.every = 5
+	proxy.mu.Unlock()
+
+	c, err := client.Dial(proxy.addr(), testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const sessions, perSession, counterKey = 8, 40, 4242
+	ss := make([]*client.Session, sessions)
+	for i := range ss {
+		if ss[i], err = c.NewSession(); err != nil {
+			t.Fatalf("open %d: %v", i, err)
+		}
+	}
+	var (
+		mu    sync.Mutex
+		calls [sessions][perSession]int
+		olds  = map[uint64]bool{}
+		sum   uint64
+		wg    sync.WaitGroup
+	)
+	for i := 0; i < perSession; i++ {
+		for si, s := range ss {
+			delta := uint64(si*perSession + i + 1)
+			wg.Add(1)
+			s.DoAsync(kite.FAAOp(counterKey, delta), func(r client.Result) {
+				defer wg.Done()
+				mu.Lock()
+				defer mu.Unlock()
+				calls[si][i]++
+				if r.Err != nil {
+					t.Errorf("faa session %d op %d: %v", si, i, r.Err)
+					return
+				}
+				old := client.DecodeUint64(r.Value)
+				if olds[old] {
+					t.Errorf("FAA old value %d seen twice: a frame applied twice", old)
+				}
+				olds[old] = true
+				sum += delta
+			})
+		}
+	}
+	wg.Wait()
+	for si := range calls {
+		for i, n := range calls[si] {
+			if n != 1 {
+				t.Fatalf("session %d op %d completed %d times, want 1", si, i, n)
+			}
+		}
+	}
+	if t.Failed() {
+		return
+	}
+	final, err := ss[0].FAA(counterKey, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final != sum {
+		t.Fatalf("counter = %d, want %d (the sum of the acked deltas)", final, sum)
+	}
+	proxy.mu.Lock()
+	trains := proxy.droppedTrains
+	proxy.mu.Unlock()
+	if trains == 0 {
+		t.Fatal("no multi-frame datagram was dropped: the test exercised nothing")
+	}
+}
+
+// TestE2ENoSpuriousRetransmits: on a loss-free link, a request is not
+// resent while its reply can still be on its way — N async ops reach the
+// server as exactly N request frames. The window stays full across
+// several retry ticks, each of which used to resend every op in flight.
+func TestE2ENoSpuriousRetransmits(t *testing.T) {
+	cl := startCluster(t, 3)
+	opts := testOpts()
+	opts.RetryInterval = 400 * time.Millisecond
+	c, err := client.Dial(cl.addr(0), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s, err := c.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := cl.Servers[0].Stats()
+	before := st.Requests.Load()
+	var wg sync.WaitGroup
+	n := 0
+	for end := time.Now().Add(3 * opts.RetryInterval); time.Now().Before(end); n++ {
+		wg.Add(1)
+		s.DoAsync(kite.WriteOp(uint64(n%64), []byte{byte(n)}), func(r client.Result) {
+			defer wg.Done()
+			if r.Err != nil {
+				t.Errorf("write: %v", r.Err)
+			}
+		})
+	}
+	wg.Wait()
+	if got := st.Requests.Load() - before; got != uint64(n) {
+		t.Fatalf("%d async ops arrived as %d request frames, want %d", n, got, n)
 	}
 }
 

@@ -200,13 +200,16 @@ func (l *Log) Wrap(inner kite.Session) kite.Session {
 // never completed) are closed as OutcomeMaybe at snapshot time. Safe to
 // call while sessions are live, but meant for after quiesce.
 func (l *Log) Snapshot() *Recorded {
-	now := l.now()
 	l.mu.Lock()
 	sessions := append([]*sessionLog(nil), l.sessions...)
 	l.mu.Unlock()
 	rec := &Recorded{BaseWallNS: l.baseWall}
 	for _, s := range sessions {
 		s.mu.Lock()
+		// Read the clock under the session's lock: every event it holds was
+		// stamped before it was appended, so none is closed before it was
+		// invoked — even when a live session keeps invoking meanwhile.
+		now := l.now()
 		for _, e := range s.events {
 			if e.Complete < 0 {
 				e.Complete = now

@@ -6,18 +6,24 @@ import (
 )
 
 // Client-facing wire frames. External processes talk to a node's session
-// server (kite/internal/server) over UDP using these two frames — the same
-// lossy, datagram-per-message contract as the replica-to-replica protocol,
-// so the client library provides its own retransmissions and the server
-// deduplicates by (session id, request id).
+// server (kite/internal/server) over UDP using these frames — the same
+// lossy datagram contract as the replica-to-replica protocol, so the client
+// library provides its own retransmissions and the server deduplicates by
+// (session id, request id).
 //
-// Wire format (little endian), one frame per datagram, mirroring the compact
-// fixed header + inline value layout of Message:
+// Wire format (little endian), mirroring the compact fixed header + inline
+// value layout of Message:
 //
 //	request: op(1) flags(1) elen(1) vlen(1) sess(4) seq(8) acked(8) key(8) delta(8)
 //	         expected(elen) value(vlen)
 //	reply:   status(1) flags(1) vlen(1) pad(1) sess(4) seq(8)
 //	         value(vlen)
+//
+// A datagram carries one or more frames back to back, up to
+// MaxClientFrameLen bytes: a train of request and batch frames towards the
+// server, a train of reply frames towards the client. Every frame encodes
+// its own length, so a train needs no header of its own and a one-frame
+// datagram is exactly the frame. NextFrame splits a train.
 
 // Client operation codes. Data ops 0-7 deliberately share core.OpCode's
 // numbering (read, write, release, acquire, faa, cas-weak, cas-strong,
@@ -56,9 +62,9 @@ const (
 	ClientOpRemove uint8 = 0x14
 
 	// ClientOpBatch marks a batched request frame (ClientBatch): several
-	// data ops with consecutive seqs pipelined in one datagram — the remote
-	// hot path of DoBatch. Replies remain one frame per op, matched by
-	// (sess, seq) exactly like individually sent requests.
+	// data ops of one session with consecutive seqs in one frame — the
+	// remote hot path of DoBatch. Replies remain one frame per op, matched
+	// by (sess, seq) exactly like individually sent requests.
 	ClientOpBatch uint8 = 0x20
 )
 
@@ -142,6 +148,11 @@ type ClientRequest struct {
 
 const clientReqHeaderLen = 1 + 1 + 1 + 1 + 4 + 8 + 8 + 8 + 8
 
+// WireLen returns the encoded size of r.
+func (r *ClientRequest) WireLen() int {
+	return clientReqHeaderLen + len(r.Expected) + len(r.Value)
+}
+
 // AppendMarshal appends the wire encoding of r to dst.
 func (r *ClientRequest) AppendMarshal(dst []byte) ([]byte, error) {
 	if len(r.Expected) > MaxValueLen || len(r.Value) > MaxValueLen {
@@ -164,11 +175,8 @@ func (r *ClientRequest) Unmarshal(b []byte) error {
 		return ErrShortBuffer
 	}
 	elen, vlen := int(b[2]), int(b[3])
-	if elen > MaxValueLen || vlen > MaxValueLen {
-		return ErrValueTooLong
-	}
-	if len(b) < clientReqHeaderLen+elen+vlen {
-		return ErrShortBuffer
+	if _, err := frameEnd(b, clientReqHeaderLen, elen, vlen); err != nil {
+		return err
 	}
 	r.Op = b[0]
 	r.Flags = b[1]
@@ -194,14 +202,14 @@ func (r *ClientRequest) Unmarshal(b []byte) error {
 }
 
 // Batched client requests. A ClientBatch carries up to MaxBatchOps data
-// operations in a single datagram; the op at index i has sequence number
-// Seq+i, so the server's in-order submission, dedup and reply cache treat
-// the batch exactly as if its ops had arrived as consecutive individual
-// frames. One wire frame per batch on the request path is the DoBatch
-// round-trip win; replies stay per-op so loss of one reply costs one
-// retransmission, not the batch.
+// operations of one session in a single frame; the op at index i has
+// sequence number Seq+i, so the server's in-order submission, dedup and
+// reply cache treat the batch exactly as if its ops had arrived as
+// consecutive individual frames. Replies stay per-op frames (packed into
+// datagrams like any other replies), so a lost reply datagram costs the
+// retransmission of the ops it answered, not of the whole batch.
 //
-// Wire format (little endian), one frame per datagram:
+// Wire format (little endian):
 //
 //	batch:  op(1)=ClientOpBatch flags(1) count(2) sess(4) seq(8) acked(8)
 //	        then per op: code(1) elen(1) vlen(1) key(8) delta(8)
@@ -210,9 +218,10 @@ func (r *ClientRequest) Unmarshal(b []byte) error {
 // MaxBatchOps bounds the operation count of one ClientBatch frame.
 const MaxBatchOps = 64
 
-// MaxClientFrameLen is the frame-size budget batched requests are packed
-// against — conservative for common datacenter MTUs, comfortably under the
-// receive buffers.
+// MaxClientFrameLen is the size budget of one client-link datagram: batch
+// frames are packed against it, and so are the frame trains both ends send
+// — conservative for common datacenter MTUs, comfortably under the receive
+// buffers.
 const MaxClientFrameLen = 1400
 
 const (
@@ -301,8 +310,9 @@ func (b *ClientBatch) Unmarshal(buf []byte) error {
 		if !ClientDataOp(code) {
 			return fmt.Errorf("proto: bad batched op %d", code)
 		}
-		if elen > MaxValueLen || vlen > MaxValueLen {
-			return ErrValueTooLong
+		end, err := frameEnd(buf, off+clientBatchOpHeaderLen, elen, vlen)
+		if err != nil {
+			return err
 		}
 		op := BatchOp{
 			Code:  code,
@@ -310,16 +320,13 @@ func (b *ClientBatch) Unmarshal(buf []byte) error {
 			Delta: binary.LittleEndian.Uint64(buf[off+11:]),
 		}
 		off += clientBatchOpHeaderLen
-		if len(buf) < off+elen+vlen {
-			return ErrShortBuffer
-		}
 		if elen > 0 {
 			op.Expected = buf[off : off+elen]
 		}
 		if vlen > 0 {
 			op.Value = buf[off+elen : off+elen+vlen]
 		}
-		off += elen + vlen
+		off = end
 		b.Ops[i] = op
 	}
 	return nil
@@ -382,6 +389,9 @@ type ClientReply struct {
 
 const clientRepHeaderLen = 1 + 1 + 1 + 1 + 4 + 8
 
+// WireLen returns the encoded size of p.
+func (p *ClientReply) WireLen() int { return clientRepHeaderLen + len(p.Value) }
+
 // AppendMarshal appends the wire encoding of p to dst.
 func (p *ClientReply) AppendMarshal(dst []byte) ([]byte, error) {
 	if len(p.Value) > MaxValueLen {
@@ -400,11 +410,8 @@ func (p *ClientReply) Unmarshal(b []byte) error {
 		return ErrShortBuffer
 	}
 	vlen := int(b[2])
-	if vlen > MaxValueLen {
-		return ErrValueTooLong
-	}
-	if len(b) < clientRepHeaderLen+vlen {
-		return ErrShortBuffer
+	if _, err := frameEnd(b, clientRepHeaderLen, 0, vlen); err != nil {
+		return err
 	}
 	p.Status = b[0]
 	p.Flags = b[1]
@@ -415,4 +422,74 @@ func (p *ClientReply) Unmarshal(b []byte) error {
 		p.Value = b[clientRepHeaderLen : clientRepHeaderLen+vlen]
 	}
 	return nil
+}
+
+// RequestFrameLen reports the length of the request or batch frame at the
+// start of b, a server-bound datagram. It checks only what the length
+// depends on; the frame's Unmarshal validates the rest.
+func RequestFrameLen(b []byte) (int, error) {
+	if len(b) > 0 && b[0] == ClientOpBatch {
+		return batchFrameLen(b)
+	}
+	if len(b) < clientReqHeaderLen {
+		return 0, ErrShortBuffer
+	}
+	return frameEnd(b, clientReqHeaderLen, int(b[2]), int(b[3]))
+}
+
+// ReplyFrameLen reports the length of the reply frame at the start of b, a
+// client-bound datagram.
+func ReplyFrameLen(b []byte) (int, error) {
+	if len(b) < clientRepHeaderLen {
+		return 0, ErrShortBuffer
+	}
+	return frameEnd(b, clientRepHeaderLen, 0, int(b[2]))
+}
+
+func batchFrameLen(b []byte) (int, error) {
+	if len(b) < clientBatchHeaderLen {
+		return 0, ErrShortBuffer
+	}
+	count := int(binary.LittleEndian.Uint16(b[2:]))
+	if count == 0 || count > MaxBatchOps {
+		return 0, fmt.Errorf("proto: batch of %d ops outside [1,%d]", count, MaxBatchOps)
+	}
+	off := clientBatchHeaderLen
+	for i := 0; i < count; i++ {
+		if len(b) < off+clientBatchOpHeaderLen {
+			return 0, ErrShortBuffer
+		}
+		end, err := frameEnd(b, off+clientBatchOpHeaderLen, int(b[off+1]), int(b[off+2]))
+		if err != nil {
+			return 0, err
+		}
+		off = end
+	}
+	return off, nil
+}
+
+// frameEnd returns the end offset of a header of length hdr followed by
+// elen+vlen payload bytes, checking the payload limits and that b holds it.
+func frameEnd(b []byte, hdr, elen, vlen int) (int, error) {
+	if elen > MaxValueLen || vlen > MaxValueLen {
+		return 0, ErrValueTooLong
+	}
+	if len(b) < hdr+elen+vlen {
+		return 0, ErrShortBuffer
+	}
+	return hdr + elen + vlen, nil
+}
+
+// NextFrame splits the first frame off a datagram's frame train: frameLen
+// is RequestFrameLen for server-bound datagrams and ReplyFrameLen for
+// client-bound ones. Every frame it returns is non-empty, so a loop over
+// rest always makes progress. On error the rest of the datagram is
+// unusable — no frame boundary can be trusted past a corrupt length — and
+// the caller drops it, like a datagram with a bad checksum.
+func NextFrame(dgram []byte, frameLen func([]byte) (int, error)) (frame, rest []byte, err error) {
+	n, err := frameLen(dgram)
+	if err != nil {
+		return nil, nil, err
+	}
+	return dgram[:n], dgram[n:], nil
 }

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 )
 
@@ -255,5 +256,64 @@ func TestFlushIsDataOp(t *testing.T) {
 	}
 	if got.Ops[0].Code != ClientOpFlush {
 		t.Fatalf("batched flush decoded as %d", got.Ops[0].Code)
+	}
+}
+
+// TestClientFrameGolden pins the frame encodings byte for byte: a datagram
+// carrying one frame is exactly that frame, so these are also the
+// one-frame datagrams every earlier client and server sent.
+func TestClientFrameGolden(t *testing.T) {
+	req := ClientRequest{
+		Op: ClientOpCASStrong, Sess: 0x01020304, Seq: 5, Acked: 4,
+		Key: 0x1122334455667788, Delta: 9, Expected: []byte("ab"), Value: []byte("xyz"),
+	}
+	rep := ClientReply{Status: ClientOK, Flags: ClientFlagSwapped, Sess: 0x01020304, Seq: 5, Value: []byte("old")}
+	batch := ClientBatch{Sess: 3, Seq: 10, Acked: 9, Ops: []BatchOp{
+		{Code: ClientOpFAA, Key: 1, Delta: 2},
+		{Code: ClientOpWrite, Key: 7, Value: []byte("v")},
+	}}
+	for _, tc := range []struct {
+		name     string
+		frame    marshaler
+		frameLen func([]byte) (int, error)
+		want     string
+	}{
+		{"request", &req, RequestFrameLen,
+			"06000203040302010500000000000000040000000000000088776655443322110900000000000000616278797a"},
+		{"reply", &rep, ReplyFrameLen, "000103000403020105000000000000006f6c64"},
+		{"batch", &batch, RequestFrameLen,
+			"20000200030000000a000000000000000900000000000000040000010000000000000002000000000000000100010700000000000000000000000000000076"},
+	} {
+		b, err := tc.frame.AppendMarshal(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(b); got != tc.want {
+			t.Errorf("%s frame\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+		frame, rest, err := NextFrame(b, tc.frameLen)
+		if err != nil || !bytes.Equal(frame, b) || len(rest) != 0 {
+			t.Errorf("%s: one-frame datagram splits into %x + %x (%v)", tc.name, frame, rest, err)
+		}
+	}
+}
+
+// TestNextFrameTrain splits a packed train and stops at a corrupt tail.
+func TestNextFrameTrain(t *testing.T) {
+	a, _ := (&ClientRequest{Op: ClientOpWrite, Sess: 1, Seq: 1, Value: []byte("a")}).AppendMarshal(nil)
+	b, _ := (&ClientBatch{Sess: 2, Seq: 1, Ops: []BatchOp{{Code: ClientOpRead, Key: 3}}}).AppendMarshal(nil)
+	train := append(append(append([]byte(nil), a...), b...), a[:5]...) // truncated third frame
+	frame, rest, err := NextFrame(train, RequestFrameLen)
+	if err != nil || !bytes.Equal(frame, a) {
+		t.Fatalf("first frame %x, %v", frame, err)
+	}
+	if frame, rest, err = NextFrame(rest, RequestFrameLen); err != nil || !bytes.Equal(frame, b) {
+		t.Fatalf("second frame %x, %v", frame, err)
+	}
+	if _, _, err = NextFrame(rest, RequestFrameLen); err != ErrShortBuffer {
+		t.Fatalf("truncated tail: %v, want ErrShortBuffer", err)
+	}
+	if n := (&ClientRequest{Value: []byte("ab")}).WireLen(); n != len(a)+1 {
+		t.Fatalf("WireLen = %d, want %d", n, len(a)+1)
 	}
 }

@@ -3,6 +3,7 @@ package proto
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 )
@@ -216,5 +217,152 @@ func fuzzStructuredBatch(t *testing.T, data []byte) {
 				t.Fatalf("round %d: msg %d mismatch:\n got %+v\nwant %+v", round, i, msgs[i], batch[i])
 			}
 		}
+	}
+}
+
+// FuzzClientFrameTrain pins the client link's frame trains. The input bytes
+// serve double duty: as a raw datagram of either direction, whose split
+// must never panic and must always make progress (no empty frame, every
+// byte accounted for); and as a PRNG seed generating trains of request,
+// batch and reply frames, which must split back into exactly the frames
+// that were packed, each decoding to what was encoded.
+func FuzzClientFrameTrain(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	var reqTrain, repTrain []byte
+	for i := 0; i < 4; i++ {
+		reqTrain = appendFrame(f, reqTrain, randClientRequest(rng))
+		reqTrain = appendFrame(f, reqTrain, randClientBatch(rng))
+		repTrain = appendFrame(f, repTrain, randClientReply(rng))
+	}
+	f.Add(reqTrain)
+	f.Add(repTrain)
+	f.Add([]byte{})
+	f.Add([]byte{ClientOpBatch, 0, 0xff, 0xff}) // count beyond MaxBatchOps
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, frameLen := range []func([]byte) (int, error){RequestFrameLen, ReplyFrameLen} {
+			for rest := data; len(rest) > 0; {
+				frame, next, err := NextFrame(rest, frameLen)
+				if err != nil {
+					break
+				}
+				if len(frame) == 0 || len(frame)+len(next) != len(rest) {
+					t.Fatalf("split %d bytes into %d + %d", len(rest), len(frame), len(next))
+				}
+				rest = next
+			}
+		}
+
+		h := fnv.New64a()
+		h.Write(data)
+		rng := rand.New(rand.NewSource(int64(h.Sum64())))
+		var reqs, reps [][]byte
+		var train []byte
+		for i := rng.Intn(8); i >= 0; i-- {
+			var frame marshaler = randClientRequest(rng)
+			if rng.Intn(3) == 0 {
+				frame = randClientBatch(rng)
+			}
+			reqs = append(reqs, appendFrame(t, nil, frame))
+			train = append(train, reqs[len(reqs)-1]...)
+		}
+		checkTrain(t, train, reqs, RequestFrameLen, func(frame []byte) error {
+			if frame[0] == ClientOpBatch {
+				var b ClientBatch
+				return b.Unmarshal(frame)
+			}
+			var r ClientRequest
+			return r.Unmarshal(frame)
+		})
+		train = nil
+		for i := rng.Intn(8); i >= 0; i-- {
+			reps = append(reps, appendFrame(t, nil, randClientReply(rng)))
+			train = append(train, reps[len(reps)-1]...)
+		}
+		checkTrain(t, train, reps, ReplyFrameLen, func(frame []byte) error {
+			var p ClientReply
+			return p.Unmarshal(frame)
+		})
+	})
+}
+
+// checkTrain splits train and requires exactly the frames want, each of
+// which must decode.
+func checkTrain(t *testing.T, train []byte, want [][]byte, frameLen func([]byte) (int, error), decode func([]byte) error) {
+	t.Helper()
+	for i, w := range want {
+		frame, rest, err := NextFrame(train, frameLen)
+		if err != nil {
+			t.Fatalf("frame %d of %d: %v", i, len(want), err)
+		}
+		if !bytes.Equal(frame, w) {
+			t.Fatalf("frame %d split as %x, packed %x", i, frame, w)
+		}
+		if err := decode(frame); err != nil {
+			t.Fatalf("frame %d does not decode: %v", i, err)
+		}
+		train = rest
+	}
+	if len(train) != 0 {
+		t.Fatalf("%d bytes left over after %d frames", len(train), len(want))
+	}
+}
+
+// marshaler is any client frame.
+type marshaler interface {
+	AppendMarshal([]byte) ([]byte, error)
+}
+
+func appendFrame(tb testing.TB, dst []byte, frame marshaler) []byte {
+	tb.Helper()
+	out, err := frame.AppendMarshal(dst)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+func randPayload(rng *rand.Rand) []byte {
+	if rng.Intn(3) == 0 {
+		return nil
+	}
+	b := make([]byte, rng.Intn(MaxValueLen+1))
+	rng.Read(b)
+	return b
+}
+
+var clientReqOps = []uint8{
+	ClientOpRead, ClientOpWrite, ClientOpRelease, ClientOpAcquire, ClientOpFAA,
+	ClientOpCASWeak, ClientOpCASStrong, ClientOpFlush, ClientOpOpen, ClientOpClose,
+	ClientOpPing, ClientOpJoin, ClientOpRemove,
+}
+
+func randClientRequest(rng *rand.Rand) *ClientRequest {
+	return &ClientRequest{
+		Op: clientReqOps[rng.Intn(len(clientReqOps))], Flags: uint8(rng.Intn(256)),
+		Sess: rng.Uint32(), Seq: rng.Uint64(), Acked: rng.Uint64(), Key: rng.Uint64(), Delta: rng.Uint64(),
+		Expected: randPayload(rng), Value: randPayload(rng),
+	}
+}
+
+func randClientBatch(rng *rand.Rand) *ClientBatch {
+	b := &ClientBatch{Flags: uint8(rng.Intn(256)), Sess: rng.Uint32(), Seq: rng.Uint64(), Acked: rng.Uint64()}
+	n := 1 + rng.Intn(4)
+	if rng.Intn(8) == 0 {
+		n = 1 + rng.Intn(MaxBatchOps)
+	}
+	for i := 0; i < n; i++ {
+		b.Ops = append(b.Ops, BatchOp{
+			Code: uint8(rng.Intn(int(ClientOpFlush) + 1)), Key: rng.Uint64(), Delta: rng.Uint64(),
+			Expected: randPayload(rng), Value: randPayload(rng),
+		})
+	}
+	return b
+}
+
+func randClientReply(rng *rand.Rand) *ClientReply {
+	return &ClientReply{
+		Status: uint8(rng.Intn(256)), Flags: uint8(rng.Intn(256)),
+		Sess: rng.Uint32(), Seq: rng.Uint64(), Value: randPayload(rng),
 	}
 }

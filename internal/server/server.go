@@ -4,13 +4,17 @@
 // path of kite/internal/core.
 //
 // The client link has the same contract as the replica-to-replica transport:
-// unreliable datagrams, one frame per packet. Reliability lives at the
-// edges — the client library (package kite/client) retransmits requests, and
-// the server keeps a per-session cache of completed replies so a
+// unreliable datagrams. A datagram carries a train of frames (see
+// kite/internal/proto): the server reads requests with recvmmsg, splits each
+// datagram into its frames and handles them in order, and packs the replies
+// bound for one client address into shared datagrams. Reliability lives at
+// the edges — the client library (package kite/client) retransmits requests,
+// and the server keeps a per-session cache of completed replies so a
 // retransmitted request is answered from the cache instead of re-executed
-// (exactly-once per (session, seq)). Because datagrams can also reorder, the
-// server submits a session's data ops strictly in client sequence order,
-// holding back frames that arrive early.
+// (exactly-once per (session, seq)). All of this is per frame: a lost
+// datagram simply means its frames are retransmitted. Because datagrams can
+// also reorder, the server submits a session's data ops strictly in client
+// sequence order, holding back frames that arrive early.
 package server
 
 import (
@@ -18,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,13 +70,16 @@ const (
 // buffers; beyond that early frames are dropped and the client retries.
 const maxHeldOut = 256
 
-// Stats counts server-level events.
+// Stats counts server-level events. Requests/Datagrams and
+// Replies/ReplyDatagrams are the frames per datagram in each direction.
 type Stats struct {
 	Requests       atomic.Uint64 // well-formed frames received
+	Datagrams      atomic.Uint64 // datagrams received
 	BatchedOps     atomic.Uint64 // data ops that arrived inside batch frames
 	Retransmits    atomic.Uint64 // duplicate requests answered from cache
 	Held           atomic.Uint64 // reordered requests buffered for in-order submit
-	Replies        atomic.Uint64 // replies sent
+	Replies        atomic.Uint64 // reply frames sent
+	ReplyDatagrams atomic.Uint64 // reply datagrams sent
 	DroppedReplies atomic.Uint64 // replies dropped on queue overflow
 	Expired        atomic.Uint64 // sessions reclaimed by lease timeout
 }
@@ -104,7 +112,7 @@ type outReply struct {
 }
 
 type openKey struct {
-	addr string
+	addr netip.AddrPort
 	seq  uint64
 }
 
@@ -120,7 +128,7 @@ type clientSession struct {
 	cs *core.Session
 
 	mu         sync.Mutex
-	addr       *net.UDPAddr       // latest client address; replies go here
+	addr       netip.AddrPort     // latest client address; replies go here
 	dest       *transport.UDPDest // addr with its precomputed raw sockaddr
 	nextSeq    uint64             // next data-op seq to submit to the core session
 	heldOut    map[uint64]heldReq
@@ -240,35 +248,63 @@ func (s *Server) Close() error {
 	return nil
 }
 
+// recvLoop reads request datagrams in batched syscalls (recvmmsg where
+// available), each with its source address, and handles their frames.
 func (s *Server) recvLoop() {
 	defer s.wg.Done()
-	buf := make([]byte, 2048)
+	bufs := make([][]byte, transport.MaxIOBatch)
+	for i := range bufs {
+		bufs[i] = make([]byte, 2048)
+	}
+	sizes := make([]int, transport.MaxIOBatch)
+	from := make([]netip.AddrPort, transport.MaxIOBatch)
 	for {
-		n, raddr, err := s.conn.ReadFromUDP(buf)
+		n, err := s.bc.ReadBatchFrom(bufs, sizes, from)
 		if err != nil {
-			return // socket closed
+			if s.closed.Load() || errors.Is(err, net.ErrClosed) {
+				return
+			}
+			continue
 		}
-		if n > 0 && buf[0] == proto.ClientOpBatch {
+		s.stats.Datagrams.Add(uint64(n))
+		for i := 0; i < n; i++ {
+			s.handleDatagram(bufs[i][:sizes[i]], from[i])
+		}
+	}
+}
+
+// handleDatagram handles a datagram's frames in train order, so a session's
+// frames packed into one datagram reach the in-order gate in the order the
+// client sent them.
+func (s *Server) handleDatagram(dgram []byte, from netip.AddrPort) {
+	for len(dgram) > 0 {
+		frame, rest, err := proto.NextFrame(dgram, proto.RequestFrameLen)
+		if err != nil {
+			return // corrupt frame: drop the rest, like a bad checksum
+		}
+		dgram = rest
+		if frame[0] == proto.ClientOpBatch {
 			var b proto.ClientBatch
-			if b.Unmarshal(buf[:n]) != nil {
-				continue // corrupt datagram: drop, like a bad checksum
+			if b.Unmarshal(frame) != nil {
+				continue
 			}
 			s.stats.Requests.Add(1)
-			s.handleBatch(&b, raddr)
+			s.handleBatch(&b, from)
 			continue
 		}
 		var req proto.ClientRequest
-		if err := req.Unmarshal(buf[:n]); err != nil {
-			continue // corrupt datagram: drop, like a bad checksum
+		if req.Unmarshal(frame) != nil {
+			continue
 		}
 		s.stats.Requests.Add(1)
-		s.handle(&req, raddr)
+		s.handle(&req, from)
 	}
 }
 
 // sendLoop drains the reply queue and ships replies in batched syscalls:
-// each drained reply marshals into its own reused buffer and the run goes
-// out as one WriteBatch (sendmmsg where available). The flush policy is the
+// replies bound for the same client address share a datagram (up to
+// proto.MaxClientFrameLen bytes, in reused buffers) and the run goes out as
+// one WriteBatch (sendmmsg where available). The flush policy is the
 // transport's: a lone reply flushes immediately, a burst below a full batch
 // lingers up to Config.FlushDelay for stragglers. replyCh is never closed —
 // core-worker Done callbacks may call reply() at any time, even during
@@ -277,9 +313,10 @@ func (s *Server) sendLoop() {
 	defer s.wg.Done()
 	bufs := make([][]byte, transport.MaxIOBatch)
 	for i := range bufs {
-		bufs[i] = make([]byte, 0, 256)
+		bufs[i] = make([]byte, 0, proto.MaxClientFrameLen)
 	}
 	dgs := make([]transport.Datagram, 0, transport.MaxIOBatch)
+	frames := make([]int, 0, transport.MaxIOBatch) // reply frames per datagram
 	pending := make([]outReply, 0, transport.MaxIOBatch)
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
@@ -316,20 +353,43 @@ func (s *Server) sendLoop() {
 				<-timer.C
 			}
 		}
-		dgs = dgs[:0]
+		dgs, frames = dgs[:0], frames[:0]
 		for i := range pending {
-			b, err := pending[i].rep.AppendMarshal(bufs[len(dgs)][:0])
-			if err != nil {
-				continue
+			out := &pending[i]
+			if len(out.rep.Value) > proto.MaxValueLen {
+				continue // unencodable; cannot happen for store values
 			}
-			bufs[len(dgs)] = b
-			dgs = append(dgs, transport.Datagram{Buf: b, Dest: pending[i].dest})
+			j := openDatagram(dgs, out.dest, out.rep.WireLen())
+			if j < 0 {
+				j = len(dgs)
+				dgs = append(dgs, transport.Datagram{Buf: bufs[j][:0], Dest: out.dest})
+				frames = append(frames, 0)
+			}
+			dgs[j].Buf, _ = out.rep.AppendMarshal(dgs[j].Buf)
+			frames[j]++
 		}
 		if len(dgs) > 0 {
 			n, _ := s.bc.WriteBatch(dgs)
-			s.stats.Replies.Add(uint64(n))
+			s.stats.ReplyDatagrams.Add(uint64(n))
+			sent := 0
+			for _, k := range frames[:n] {
+				sent += k
+			}
+			s.stats.Replies.Add(uint64(sent))
 		}
 	}
+}
+
+// openDatagram returns the index of a datagram in dgs bound for dest with
+// room for size more bytes, or -1. dgs holds at most one flush's worth of
+// datagrams, so the scan is short.
+func openDatagram(dgs []transport.Datagram, dest *transport.UDPDest, size int) int {
+	for j := len(dgs) - 1; j >= 0; j-- {
+		if len(dgs[j].Buf)+size <= proto.MaxClientFrameLen && transport.SameDest(dgs[j].Dest, dest) {
+			return j
+		}
+	}
+	return -1
 }
 
 // reply queues a reply datagram; full queue drops it (the client retries).
@@ -344,44 +404,40 @@ func (s *Server) reply(dest *transport.UDPDest, rep proto.ClientReply) {
 	}
 }
 
-// sameUDPAddr reports whether two addresses refer to the same endpoint
-// without allocating (unlike comparing String() forms).
-func sameUDPAddr(a, b *net.UDPAddr) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	return a.Port == b.Port && a.Zone == b.Zone && a.IP.Equal(b.IP)
+// destOf resolves a source address into a reply destination.
+func destOf(from netip.AddrPort) *transport.UDPDest {
+	return transport.NewUDPDest(net.UDPAddrFromAddrPort(from))
 }
 
-func (s *Server) handle(req *proto.ClientRequest, raddr *net.UDPAddr) {
+func (s *Server) handle(req *proto.ClientRequest, from netip.AddrPort) {
 	switch req.Op {
 	case proto.ClientOpPing:
 		nd := s.node()
 		v := nd.View()
-		s.reply(transport.NewUDPDest(raddr), proto.ClientReply{
+		s.reply(destOf(from), proto.ClientReply{
 			Status: proto.ClientOK, Flags: proto.ClientFlagControl, Seq: req.Seq,
 			Value: proto.AppendNodeInfo(nil, s.cfg.Groups, s.cfg.Group, v.Epoch, v.Members),
 		})
 	case proto.ClientOpJoin:
-		s.handleReconfig(req, raddr, true)
+		s.handleReconfig(req, from, true)
 	case proto.ClientOpRemove:
-		s.handleReconfig(req, raddr, false)
+		s.handleReconfig(req, from, false)
 	case proto.ClientOpOpen:
-		s.handleOpen(req, raddr)
+		s.handleOpen(req, from)
 	case proto.ClientOpClose:
 		s.release(req.Sess)
-		s.reply(transport.NewUDPDest(raddr), proto.ClientReply{
+		s.reply(destOf(from), proto.ClientReply{
 			Status: proto.ClientOK, Flags: proto.ClientFlagControl,
 			Sess: req.Sess, Seq: req.Seq,
 		})
 	default:
-		s.handleData(req, raddr)
+		s.handleData(req, from)
 	}
 }
 
-func (s *Server) handleOpen(req *proto.ClientRequest, raddr *net.UDPAddr) {
-	dest := transport.NewUDPDest(raddr)
-	key := openKey{addr: raddr.String(), seq: req.Seq}
+func (s *Server) handleOpen(req *proto.ClientRequest, from netip.AddrPort) {
+	dest := destOf(from)
+	key := openKey{addr: from, seq: req.Seq}
 	s.mu.Lock()
 	if e, ok := s.opens[key]; ok {
 		s.mu.Unlock()
@@ -400,7 +456,7 @@ func (s *Server) handleOpen(req *proto.ClientRequest, raddr *net.UDPAddr) {
 	s.free = s.free[:len(s.free)-1]
 	s.nextID++ // ids start at 1 and are never reused, so stale frames miss
 	sess := &clientSession{
-		id: s.nextID, cs: cs, addr: raddr, dest: dest, nextSeq: 1,
+		id: s.nextID, cs: cs, addr: from, dest: dest, nextSeq: 1,
 		heldOut:    make(map[uint64]heldReq),
 		inflight:   make(map[uint64]struct{}),
 		done:       make(map[uint64]proto.ClientReply),
@@ -449,7 +505,7 @@ func (s *Server) node() *core.Node {
 // goroutines from client retransmissions are harmless — the underlying
 // reconfiguration is idempotent and every goroutine replies (the client
 // keeps the first).
-func (s *Server) handleReconfig(req *proto.ClientRequest, raddr *net.UDPAddr, add bool) {
+func (s *Server) handleReconfig(req *proto.ClientRequest, from netip.AddrPort, add bool) {
 	nd := s.node()
 	id, seq := uint8(req.Key), req.Seq
 	go func() {
@@ -469,7 +525,7 @@ func (s *Server) handleReconfig(req *proto.ClientRequest, raddr *net.UDPAddr, ad
 		if err != nil {
 			rep.Status, rep.Value = proto.ClientErrConflict, nil
 		}
-		s.reply(transport.NewUDPDest(raddr), rep)
+		s.reply(destOf(from), rep)
 	}()
 }
 
@@ -477,21 +533,21 @@ func (s *Server) handleReconfig(req *proto.ClientRequest, raddr *net.UDPAddr, ad
 // with seq b.Seq+i, so the in-order gate, dedup and reply cache need no
 // batch-specific cases — a retransmitted batch is answered per-op from the
 // cache, a reordered one is held per-op until its gap fills.
-func (s *Server) handleBatch(b *proto.ClientBatch, raddr *net.UDPAddr) {
+func (s *Server) handleBatch(b *proto.ClientBatch, from netip.AddrPort) {
 	s.stats.BatchedOps.Add(uint64(len(b.Ops)))
 	for i, op := range b.Ops {
 		req := proto.ClientRequest{
 			Op: op.Code, Sess: b.Sess, Seq: b.Seq + uint64(i), Acked: b.Acked,
 			Key: op.Key, Delta: op.Delta, Expected: op.Expected, Value: op.Value,
 		}
-		s.handleData(&req, raddr)
+		s.handleData(&req, from)
 	}
 }
 
-func (s *Server) handleData(req *proto.ClientRequest, raddr *net.UDPAddr) {
+func (s *Server) handleData(req *proto.ClientRequest, from netip.AddrPort) {
 	sess := s.lookup(req.Sess)
 	if sess == nil {
-		s.reply(transport.NewUDPDest(raddr), proto.ClientReply{
+		s.reply(destOf(from), proto.ClientReply{
 			Status: proto.ClientErrNoSession, Sess: req.Sess, Seq: req.Seq,
 		})
 		return
@@ -500,10 +556,10 @@ func (s *Server) handleData(req *proto.ClientRequest, raddr *net.UDPAddr) {
 	sess.mu.Lock()
 	// The precomputed destination is rebuilt only when the client's address
 	// actually moved, so the steady-state data path reuses it per reply.
-	if sess.dest == nil || !sameUDPAddr(sess.addr, raddr) {
-		sess.dest = transport.NewUDPDest(raddr)
+	if sess.dest == nil || sess.addr != from {
+		sess.dest = destOf(from)
+		sess.addr = from
 	}
-	sess.addr = raddr
 	sess.lastActive = time.Now()
 	// The client has every reply below Acked; drop them from the cache.
 	for seq := range sess.done {

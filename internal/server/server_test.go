@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"net"
 	"testing"
 	"time"
@@ -40,11 +41,13 @@ func startNode(t *testing.T, cfg Config) (*core.Node, *Server) {
 }
 
 // rawClient is a frame-level test client: no retries, no demux — it sends
-// exactly the datagrams the test specifies and reads raw replies.
+// exactly the datagrams the test specifies and reads raw replies. A reply
+// datagram may carry several frames; recv splits it and queues the rest.
 type rawClient struct {
 	t       *testing.T
 	conn    *net.UDPConn
 	ctrlSeq uint64
+	queued  []proto.ClientReply // frames of the last datagram not yet returned
 }
 
 func dialRaw(t *testing.T, addr string) *rawClient {
@@ -72,7 +75,27 @@ func (rc *rawClient) send(req proto.ClientRequest) {
 	}
 }
 
+// sendTrain sends frames (marshalled requests and batches) back to back in
+// one datagram.
+func (rc *rawClient) sendTrain(frames ...[]byte) {
+	rc.t.Helper()
+	if _, err := rc.conn.Write(bytes.Join(frames, nil)); err != nil {
+		rc.t.Fatal(err)
+	}
+}
+
 func (rc *rawClient) recv() proto.ClientReply {
+	rc.t.Helper()
+	if len(rc.queued) == 0 {
+		rc.queued = rc.recvDatagram()
+	}
+	rep := rc.queued[0]
+	rc.queued = rc.queued[1:]
+	return rep
+}
+
+// recvDatagram reads one reply datagram and returns all of its frames.
+func (rc *rawClient) recvDatagram() []proto.ClientReply {
 	rc.t.Helper()
 	buf := make([]byte, 2048)
 	rc.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -80,12 +103,21 @@ func (rc *rawClient) recv() proto.ClientReply {
 	if err != nil {
 		rc.t.Fatalf("no reply: %v", err)
 	}
-	var rep proto.ClientReply
-	if err := rep.Unmarshal(buf[:n]); err != nil {
-		rc.t.Fatal(err)
+	var reps []proto.ClientReply
+	for dgram := buf[:n]; len(dgram) > 0; {
+		frame, rest, err := proto.NextFrame(dgram, proto.ReplyFrameLen)
+		if err != nil {
+			rc.t.Fatalf("reply train: %v", err)
+		}
+		dgram = rest
+		var rep proto.ClientReply
+		if err := rep.Unmarshal(frame); err != nil {
+			rc.t.Fatal(err)
+		}
+		rep.Value = append([]byte(nil), rep.Value...)
+		reps = append(reps, rep)
 	}
-	rep.Value = append([]byte(nil), rep.Value...)
-	return rep
+	return reps
 }
 
 // open leases a session. Each open uses a fresh control seq — the server
@@ -384,5 +416,129 @@ func TestServerAckPrunesCache(t *testing.T) {
 	buf := make([]byte, 256)
 	if n, _ := rc.conn.Read(buf); n > 0 {
 		t.Fatal("stale acked retransmit was answered")
+	}
+}
+
+// marshal encodes a request or batch frame for sendTrain.
+func marshal(t *testing.T, frame interface {
+	AppendMarshal([]byte) ([]byte, error)
+}) []byte {
+	t.Helper()
+	b, err := frame.AppendMarshal(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestServerMultiFrameDatagram: one datagram carrying frames of two
+// sessions — a batch frame and a frame that arrives ahead of its seq among
+// them — executes every frame, each session in its own seq order. FAA old
+// values prove the order.
+func TestServerMultiFrameDatagram(t *testing.T) {
+	_, srv := startNode(t, Config{})
+	rc := dialRaw(t, srv.Addr())
+	a, b := rc.open(), rc.open()
+	dgramsBefore := srv.Stats().Datagrams.Load()
+
+	rc.sendTrain(
+		// Session a's seq 2 comes first in the train: it must be held.
+		marshal(t, &proto.ClientRequest{Op: proto.ClientOpFAA, Sess: a, Seq: 2, Key: 1, Delta: 10}),
+		marshal(t, &proto.ClientBatch{Sess: b, Seq: 1, Ops: []proto.BatchOp{
+			{Code: proto.ClientOpFAA, Key: 2, Delta: 1},
+			{Code: proto.ClientOpFAA, Key: 2, Delta: 2},
+		}}),
+		marshal(t, &proto.ClientRequest{Op: proto.ClientOpFAA, Sess: a, Seq: 1, Key: 1, Delta: 1}),
+		marshal(t, &proto.ClientRequest{Op: proto.ClientOpFAA, Sess: b, Seq: 3, Key: 2, Delta: 100}),
+	)
+	got := map[sessSeq]uint64{} // (sess, seq) -> FAA old value
+	for i := 0; i < 5; i++ {
+		rep := rc.recv()
+		if rep.Status != proto.ClientOK {
+			t.Fatalf("reply: %+v", rep)
+		}
+		got[sessSeq{rep.Sess, rep.Seq}] = core.DecodeUint64(rep.Value)
+	}
+	want := map[sessSeq]uint64{
+		{a, 1}: 0, {a, 2}: 1,
+		{b, 1}: 0, {b, 2}: 1, {b, 3}: 3,
+	}
+	for k, w := range want {
+		if v, ok := got[k]; !ok || v != w {
+			t.Fatalf("sess %d seq %d: old %d (present %v), want %d; all %v", k.sess, k.seq, v, ok, w, got)
+		}
+	}
+	st := srv.Stats()
+	if d := st.Datagrams.Load() - dgramsBefore; d != 1 {
+		t.Fatalf("Datagrams grew by %d, want 1", d)
+	}
+	if st.Held.Load() == 0 {
+		t.Fatal("the early frame in the train was not held")
+	}
+}
+
+type sessSeq struct {
+	sess uint32
+	seq  uint64
+}
+
+// TestServerPacksReplies: replies to several sessions of one client share
+// datagrams — fewer reply datagrams than reply frames.
+func TestServerPacksReplies(t *testing.T) {
+	// A long linger makes the sender collect every reply of a burst.
+	_, srv := startNode(t, Config{FlushDelay: 20 * time.Millisecond})
+	rc := dialRaw(t, srv.Addr())
+	const sessions, perSession = 4, 8
+	var frames [][]byte
+	for i := 0; i < sessions; i++ {
+		ops := make([]proto.BatchOp, perSession)
+		for j := range ops {
+			ops[j] = proto.BatchOp{Code: proto.ClientOpWrite, Key: uint64(i*perSession + j), Value: []byte("v")}
+		}
+		frames = append(frames, marshal(t, &proto.ClientBatch{Sess: rc.open(), Seq: 1, Ops: ops}))
+	}
+	// The counters advance once a send returns, which can be just after
+	// its replies arrived here; ReplyDatagrams is updated before Replies.
+	st := srv.Stats()
+	awaitReplies := func(n uint64) {
+		for deadline := time.Now().Add(5 * time.Second); st.Replies.Load() < n && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	awaitReplies(sessions) // the opens'
+	repliesBefore, dgramsBefore := st.Replies.Load(), st.ReplyDatagrams.Load()
+	rc.sendTrain(frames...)
+	for i := 0; i < sessions*perSession; i++ {
+		if rep := rc.recv(); rep.Status != proto.ClientOK {
+			t.Fatalf("reply: %+v", rep)
+		}
+	}
+	awaitReplies(repliesBefore + sessions*perSession)
+	replies := st.Replies.Load() - repliesBefore
+	dgrams := st.ReplyDatagrams.Load() - dgramsBefore
+	if replies != sessions*perSession || dgrams >= replies {
+		t.Fatalf("%d replies in %d datagrams, want %d replies in fewer datagrams", replies, dgrams, sessions*perSession)
+	}
+}
+
+// TestServerLoneReplyDatagram pins the wire format: a lone reply leaves as
+// a datagram holding exactly its reply frame.
+func TestServerLoneReplyDatagram(t *testing.T) {
+	nd, srv := startNode(t, Config{})
+	rc := dialRaw(t, srv.Addr())
+	rc.send(proto.ClientRequest{Op: proto.ClientOpPing, Seq: 7})
+	buf := make([]byte, 2048)
+	rc.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, err := rc.conn.Read(buf)
+	if err != nil {
+		t.Fatalf("no reply: %v", err)
+	}
+	v := nd.View()
+	want, _ := (&proto.ClientReply{
+		Status: proto.ClientOK, Flags: proto.ClientFlagControl, Seq: 7,
+		Value: proto.AppendNodeInfo(nil, 0, 0, v.Epoch, v.Members),
+	}).AppendMarshal(nil)
+	if !bytes.Equal(buf[:n], want) {
+		t.Fatalf("lone reply datagram\n got %x\nwant %x", buf[:n], want)
 	}
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"net/netip"
 	"sync/atomic"
 )
 
@@ -42,6 +43,26 @@ func NewUDPDest(a *net.UDPAddr) *UDPDest {
 	d := &UDPDest{UDP: a}
 	d.raw = marshalSockaddr(a)
 	return d
+}
+
+// SameDest reports whether a and b address the same endpoint, without
+// allocating: it compares the precomputed raw sockaddrs where the platform
+// has them and the UDP addresses elsewhere. A nil destination (the
+// connected peer) matches only nil.
+func SameDest(a, b *UDPDest) bool {
+	if a == b {
+		return true
+	}
+	if a == nil || b == nil {
+		return false
+	}
+	if a.raw.valid() && b.raw.valid() {
+		return a.raw == b.raw
+	}
+	if a.UDP == nil || b.UDP == nil {
+		return a.UDP == b.UDP
+	}
+	return a.UDP.Port == b.UDP.Port && a.UDP.Zone == b.UDP.Zone && a.UDP.IP.Equal(b.UDP.IP)
 }
 
 // Datagram is one packet staged for WriteBatch: a payload plus its
@@ -153,12 +174,19 @@ func (bc *BatchConn) WriteBatch(dgs []Datagram) (int, error) {
 // datagrams; the fallback reads exactly one. Like the write side, a
 // platform refusal demotes to the fallback instead of erroring.
 func (bc *BatchConn) ReadBatch(bufs [][]byte, sizes []int) (int, error) {
+	return bc.ReadBatchFrom(bufs, sizes, nil)
+}
+
+// ReadBatchFrom is ReadBatch that also reports each datagram's source
+// address in from[i] — what an unconnected server socket needs to answer.
+// from may be nil when the sources are not wanted.
+func (bc *BatchConn) ReadBatchFrom(bufs [][]byte, sizes []int, from []netip.AddrPort) (int, error) {
 	if max := bc.maxPerCall(); len(bufs) > max {
 		bufs = bufs[:max]
 	}
 	for {
 		if bc.batched.Load() {
-			n, err := bc.sys.readBatch(bc.conn, bufs, sizes)
+			n, err := bc.sys.readBatch(bc.conn, bufs, sizes, from)
 			if err != nil {
 				if demoteErr(err) {
 					bc.batched.Store(false)
@@ -169,12 +197,15 @@ func (bc *BatchConn) ReadBatch(bufs [][]byte, sizes []int) (int, error) {
 			bc.countBatched(n)
 			return n, nil
 		}
-		n, _, err := bc.conn.ReadFromUDP(bufs[0])
+		n, src, err := bc.conn.ReadFromUDPAddrPort(bufs[0])
 		if err != nil {
 			return 0, err
 		}
 		bc.countFallback()
 		sizes[0] = n
+		if from != nil {
+			from[0] = src
+		}
 		return 1, nil
 	}
 }

@@ -5,6 +5,7 @@ package transport
 import (
 	"errors"
 	"net"
+	"net/netip"
 )
 
 // Platforms without the mmsg fast path: newMmsgState reports "no batch
@@ -14,6 +15,9 @@ type rawSockaddr struct{}
 
 func marshalSockaddr(*net.UDPAddr) rawSockaddr { return rawSockaddr{} }
 
+// valid is always false here: SameDest compares the UDP addresses instead.
+func (rawSockaddr) valid() bool { return false }
+
 type mmsgState struct{}
 
 func newMmsgState(*net.UDPConn) *mmsgState { return nil }
@@ -22,6 +26,8 @@ var errNoBatchIO = errors.New("transport: batch syscalls unavailable on this pla
 
 func (*mmsgState) writeBatch(*net.UDPConn, []Datagram) (int, error) { return 0, errNoBatchIO }
 
-func (*mmsgState) readBatch(*net.UDPConn, [][]byte, []int) (int, error) { return 0, errNoBatchIO }
+func (*mmsgState) readBatch(*net.UDPConn, [][]byte, []int, []netip.AddrPort) (int, error) {
+	return 0, errNoBatchIO
+}
 
 func demoteErr(error) bool { return false }

@@ -3,7 +3,10 @@
 package transport
 
 import (
+	"encoding/binary"
 	"net"
+	"net/netip"
+	"strconv"
 	"syscall"
 	"unsafe"
 )
@@ -50,6 +53,28 @@ func marshalSockaddr(a *net.UDPAddr) rawSockaddr {
 		return r
 	}
 	return r
+}
+
+// valid reports whether r holds an encoded address (len 0 means none).
+func (r *rawSockaddr) valid() bool { return r.len > 0 }
+
+// parseSockaddr decodes a kernel-filled source sockaddr (the inverse of
+// marshalSockaddr); an unknown family yields the zero AddrPort. A non-zero
+// IPv6 scope id becomes a numeric zone, which the net package resolves like
+// an interface name.
+func parseSockaddr(b []byte) netip.AddrPort {
+	port := uint16(b[2])<<8 | uint16(b[3])
+	switch binary.LittleEndian.Uint16(b) {
+	case syscall.AF_INET:
+		return netip.AddrPortFrom(netip.AddrFrom4([4]byte(b[4:8])), port)
+	case syscall.AF_INET6:
+		addr := netip.AddrFrom16([16]byte(b[8:24]))
+		if scope := binary.LittleEndian.Uint32(b[24:28]); scope != 0 {
+			addr = addr.WithZone(strconv.FormatUint(uint64(scope), 10))
+		}
+		return netip.AddrPortFrom(addr, port)
+	}
+	return netip.AddrPort{}
 }
 
 // mmsghdr mirrors struct mmsghdr on 64-bit Linux: a msghdr plus the
@@ -167,8 +192,9 @@ func (s *mmsgState) writeBatch(_ *net.UDPConn, dgs []Datagram) (int, error) {
 }
 
 // readBatch issues one recvmmsg into bufs, blocking (via the poller) until
-// at least one datagram arrives; sizes[i] receives datagram i's length.
-func (s *mmsgState) readBatch(_ *net.UDPConn, bufs [][]byte, sizes []int) (int, error) {
+// at least one datagram arrives; sizes[i] receives datagram i's length and,
+// when from is non-nil, from[i] its source address.
+func (s *mmsgState) readBatch(_ *net.UDPConn, bufs [][]byte, sizes []int, from []netip.AddrPort) (int, error) {
 	n := len(bufs)
 	for i := 0; i < n; i++ {
 		iov := &s.riovs[i]
@@ -190,6 +216,9 @@ func (s *mmsgState) readBatch(_ *net.UDPConn, bufs [][]byte, sizes []int) (int, 
 	}
 	for i := 0; i < s.rgot; i++ {
 		sizes[i] = int(s.rhdrs[i].len)
+		if from != nil {
+			from[i] = parseSockaddr(s.rnames[i][:])
+		}
 	}
 	return s.rgot, nil
 }

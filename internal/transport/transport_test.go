@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -421,5 +422,80 @@ func TestUDPPartialBatchUnderLimit(t *testing.T) {
 	}
 	if msgs := recvBatches(t, u1.Recv(Endpoint{Node: 1}), n, 5*time.Second); msgs != n {
 		t.Fatalf("delivered %d msgs, want %d", msgs, n)
+	}
+}
+
+// TestBatchConnReadBatchFrom: every datagram comes back with its own
+// sender's address — on the recvmmsg path, where the sources are decoded
+// from the kernel-filled sockaddrs, and on the per-datagram fallback.
+func TestBatchConnReadBatchFrom(t *testing.T) {
+	for _, disable := range []bool{false, true} {
+		name := "batched"
+		if disable {
+			name = "fallback"
+		}
+		t.Run(name, func(t *testing.T) {
+			listen := func() *net.UDPConn {
+				c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { c.Close() })
+				return c
+			}
+			recvConn := listen()
+			senders := []*net.UDPConn{listen(), listen()}
+			for i := 0; i < 6; i++ {
+				s := senders[i%2]
+				if _, err := s.WriteToUDP([]byte{byte(i)}, recvConn.LocalAddr().(*net.UDPAddr)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rbc := NewBatchConn(recvConn, nil)
+			if disable {
+				rbc.DisableBatch()
+			}
+			recvConn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			bufs := make([][]byte, MaxIOBatch)
+			for i := range bufs {
+				bufs[i] = make([]byte, 64)
+			}
+			sizes := make([]int, MaxIOBatch)
+			from := make([]netip.AddrPort, MaxIOBatch)
+			for got := 0; got < 6; {
+				k, err := rbc.ReadBatchFrom(bufs, sizes, from)
+				if err != nil {
+					t.Fatalf("ReadBatchFrom after %d datagrams: %v", got, err)
+				}
+				for i := 0; i < k; i++ {
+					id := int(bufs[i][0])
+					want := senders[id%2].LocalAddr().(*net.UDPAddr).AddrPort()
+					if from[i] != want {
+						t.Fatalf("datagram %d from %v, want %v", id, from[i], want)
+					}
+				}
+				got += k
+			}
+		})
+	}
+}
+
+// TestSameDest: destinations compare by endpoint, not by pointer, and nil
+// (the connected peer) matches only nil.
+func TestSameDest(t *testing.T) {
+	a := NewUDPDest(&net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 7000})
+	a2 := NewUDPDest(&net.UDPAddr{IP: net.ParseIP("127.0.0.1"), Port: 7000}) // 16-byte form
+	b := NewUDPDest(&net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 7001})
+	c := NewUDPDest(&net.UDPAddr{IP: net.IPv4(127, 0, 0, 2), Port: 7000})
+	for _, tc := range []struct {
+		x, y *UDPDest
+		want bool
+	}{
+		{a, a, true}, {a, a2, true}, {a, b, false}, {a, c, false},
+		{nil, nil, true}, {a, nil, false}, {nil, a, false},
+	} {
+		if got := SameDest(tc.x, tc.y); got != tc.want {
+			t.Errorf("SameDest(%v, %v) = %v, want %v", tc.x, tc.y, got, tc.want)
+		}
 	}
 }
