@@ -71,9 +71,9 @@ func main() {
 			}
 			if name == "wire-batching" {
 				// Named schedule: the delay-biased mix attacking the
-				// batched transport's flush/linger window, plus unrecorded
-				// burst sessions whose high-fanout relaxed writes keep the
-				// flush deadlines hot while the nemeses run.
+				// batched transport's staged-not-yet-posted window, plus
+				// unrecorded burst sessions whose high-fanout relaxed
+				// writes keep the send rings busy while the nemeses run.
 				cfg.Kinds = append(cfg.Kinds, chaos.WireBatchingKinds()...)
 				if cfg.BurstSessions == 0 {
 					cfg.BurstSessions = 4

@@ -158,9 +158,9 @@ func TestChaosLocalReadsInproc(t *testing.T) {
 }
 
 // TestChaosWireBatchingInproc runs the wire-batching schedule — the nemesis
-// mix biased at the batched transport's flush/linger window, plus burst
-// sessions whose high-fanout relaxed-write batches keep the flush deadlines
-// hot — over two seeds against the in-process cluster. The burst keys are
+// mix biased at the batched transport's staged-not-yet-posted window, plus
+// burst sessions whose high-fanout relaxed-write batches keep the send
+// rings busy — over two seeds against the in-process cluster. The burst keys are
 // disjoint from every verified range and the burst sessions are unrecorded,
 // so the verifier judges the recorded workers exactly as in the default run;
 // the burst-op counter proves the load generator actually ran.

@@ -33,8 +33,8 @@ type Report struct {
 	Errors   []string            `json:"errors,omitempty"`
 	Ops      OpStats             `json:"ops"`
 	// BurstOps counts completed unrecorded burst writes (Config.
-	// BurstSessions — the wire-batching schedule's load shape). Zero when
-	// no burst sessions were requested.
+	// BurstSessions — the wire-batching schedule's load shape, which keeps
+	// the send rings busy). Zero when no burst sessions were requested.
 	BurstOps uint64 `json:"burst_ops,omitempty"`
 	// Faults is the per-link evidence ledger: a run that drops and delays
 	// nothing proves nothing, so Passed requires it to be non-trivial

@@ -83,16 +83,16 @@ func LocalReadsKinds() []NemesisKind {
 
 // WireBatchingKinds is the nemesis mix of the `wire-batching` schedule
 // (cmd/kite-chaos -nemeses wire-batching), aimed at the batched-syscall
-// transport's adaptive flush path (DESIGN.md "Transport"). Its hazard window
-// is the linger between a datagram being staged on the send ring and the
-// flush-on-size-or-deadline decision: delay-link appears twice (weighting the
-// random rounds toward batches that land after later retransmissions, so
-// duplicate suppression runs against whole batched frames), drop-link and
-// cut-link lose multi-message batches wholesale and force retransmission
-// through partially-filled rings, and stop-restart drains rings mid-flight
-// and reprobes the sendmmsg/recvmmsg path on the restarted node's fresh
-// socket. Pair it with Config.BurstSessions so high-fanout relaxed writes
-// keep the flush deadlines hot while the mix runs.
+// transport's flush-on-drain path (DESIGN.md "Transport"). Its hazard
+// window is the time a datagram spends staged on the send ring, not yet
+// posted, while the flusher's previous syscall is in flight: delay-link
+// appears twice (weighting the random rounds toward batches that land after
+// later retransmissions, so duplicate suppression runs against whole
+// batched frames), drop-link and cut-link lose multi-message batches
+// wholesale and force retransmission through partially-filled rings, and
+// stop-restart drains rings mid-flight and reprobes the sendmmsg/recvmmsg
+// path on the restarted node's fresh socket. Pair it with Config.BurstSessions so high-fanout relaxed writes
+// keep datagrams queued on the send rings while the mix runs.
 func WireBatchingKinds() []NemesisKind {
 	return []NemesisKind{KindDelayLink, KindDropLink, KindDelayLink,
 		KindCutLink, KindStopRestart}
@@ -186,8 +186,9 @@ type Config struct {
 	OnlineAudit bool
 	// BurstSessions adds that many unrecorded sessions issuing high-fanout
 	// relaxed-write batches (the wire-batching schedule's load shape: they
-	// keep the transport's flush deadlines hot so the nemeses hit full
-	// rings rather than idle lingers). 0 disables them. Purely a workload
+	// keep datagrams staged on the send rings behind in-flight syscalls,
+	// so the nemeses hit full rings rather than idle ones). 0 disables
+	// them. Purely a workload
 	// knob — the generated timeline does not depend on it.
 	BurstSessions int
 }

@@ -241,12 +241,12 @@ func (w *workload) scan(node, sess int) {
 	}
 }
 
-// burst keeps the transport's flush deadlines hot: every round issues one
+// burst keeps the transport's send rings busy: every round issues one
 // high-fanout DoBatch of relaxed writes to its private key range, so the
 // inter-replica broadcast path always has multi-message batches in flight
-// and the adaptive flusher decides on size rather than idling into its
-// linger deadline — which is exactly the state the wire-batching nemeses
-// attack. The session is unrecorded (leaseRaw) and the keys are disjoint
+// and datagrams staged on the send ring, not yet posted, behind the
+// flusher's current syscall — which is exactly the state the wire-batching
+// nemeses attack. The session is unrecorded (leaseRaw) and the keys are disjoint
 // from every verified range, so the verifier's judgement rests solely on
 // the recorded workers running alongside.
 func (w *workload) burst(b, node, sess int) {

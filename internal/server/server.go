@@ -7,7 +7,9 @@
 // unreliable datagrams. A datagram carries a train of frames (see
 // kite/internal/proto): the server reads requests with recvmmsg, splits each
 // datagram into its frames and handles them in order, and packs the replies
-// bound for one client address into shared datagrams. Reliability lives at
+// bound for one client address into shared datagrams. Replies flush on
+// drain, like the replica transport's datagrams: the sender posts whatever
+// is queued in one sendmmsg and never waits for more. Reliability lives at
 // the edges — the client library (package kite/client) retransmits requests,
 // and the server keeps a per-session cache of completed replies so a
 // retransmitted request is answered from the cache instead of re-executed
@@ -53,11 +55,11 @@ type Config struct {
 	// it is. Groups == 0 means unsharded (equivalent to 1 group, group 0).
 	Groups int
 	Group  int
-	// FlushDelay bounds how long the reply flusher lingers collecting a
-	// sub-batch burst before sending (transport.DefaultFlushDelay if zero;
-	// negative disables lingering — every drain flushes immediately). A
-	// lone reply always flushes immediately regardless.
-	FlushDelay time.Duration
+
+	// beforeWrite, when set, runs on the reply sender with the number of
+	// reply frames of each drain just before they are posted — the test
+	// hook that stalls a send so a burst of replies can queue behind it.
+	beforeWrite func(frames int)
 }
 
 // Defaults for Config zero values.
@@ -80,7 +82,7 @@ type Stats struct {
 	Held           atomic.Uint64 // reordered requests buffered for in-order submit
 	Replies        atomic.Uint64 // reply frames sent
 	ReplyDatagrams atomic.Uint64 // reply datagrams sent
-	DroppedReplies atomic.Uint64 // replies dropped on queue overflow
+	DroppedReplies atomic.Uint64 // reply frames dropped: queue overflow or a failed send
 	Expired        atomic.Uint64 // sessions reclaimed by lease timeout
 }
 
@@ -158,12 +160,6 @@ func New(nd *core.Node, cfg Config) (*Server, error) {
 	}
 	if cfg.ReplyDepth <= 0 {
 		cfg.ReplyDepth = DefaultReplyDepth
-	}
-	switch {
-	case cfg.FlushDelay == 0:
-		cfg.FlushDelay = transport.DefaultFlushDelay
-	case cfg.FlushDelay < 0:
-		cfg.FlushDelay = 0
 	}
 	if cfg.Groups > proto.MaxGroups {
 		return nil, fmt.Errorf("server: %d groups exceeds %d", cfg.Groups, proto.MaxGroups)
@@ -303,10 +299,11 @@ func (s *Server) handleDatagram(dgram []byte, from netip.AddrPort) {
 
 // sendLoop drains the reply queue and ships replies in batched syscalls:
 // replies bound for the same client address share a datagram (up to
-// proto.MaxClientFrameLen bytes, in reused buffers) and the run goes out as
-// one WriteBatch (sendmmsg where available). The flush policy is the
-// transport's: a lone reply flushes immediately, a burst below a full batch
-// lingers up to Config.FlushDelay for stragglers. replyCh is never closed —
+// proto.MaxClientFrameLen bytes, in reused buffers) and each drain goes out
+// as one WriteBatch (sendmmsg where available). The flush policy is the
+// transport's: flush on drain, no deadline — replies queued while a send
+// is in flight ride the next one. Frames a failed send leaves unsent count
+// as DroppedReplies (the clients retry). replyCh is never closed —
 // core-worker Done callbacks may call reply() at any time, even during
 // Close — so the loop exits on the stop signal instead.
 func (s *Server) sendLoop() {
@@ -318,10 +315,6 @@ func (s *Server) sendLoop() {
 	dgs := make([]transport.Datagram, 0, transport.MaxIOBatch)
 	frames := make([]int, 0, transport.MaxIOBatch) // reply frames per datagram
 	pending := make([]outReply, 0, transport.MaxIOBatch)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	for {
 		select {
 		case <-s.stopJan:
@@ -336,21 +329,6 @@ func (s *Server) sendLoop() {
 				pending = append(pending, out)
 			default:
 				break fill
-			}
-		}
-		if len(pending) >= 2 && len(pending) < cap(pending) && s.cfg.FlushDelay > 0 {
-			timer.Reset(s.cfg.FlushDelay)
-			expired := false
-			for !expired && len(pending) < cap(pending) {
-				select {
-				case out := <-s.replyCh:
-					pending = append(pending, out)
-				case <-timer.C:
-					expired = true
-				}
-			}
-			if !expired && !timer.Stop() {
-				<-timer.C
 			}
 		}
 		dgs, frames = dgs[:0], frames[:0]
@@ -368,14 +346,25 @@ func (s *Server) sendLoop() {
 			dgs[j].Buf, _ = out.rep.AppendMarshal(dgs[j].Buf)
 			frames[j]++
 		}
-		if len(dgs) > 0 {
-			n, _ := s.bc.WriteBatch(dgs)
-			s.stats.ReplyDatagrams.Add(uint64(n))
-			sent := 0
-			for _, k := range frames[:n] {
+		if len(dgs) == 0 {
+			continue
+		}
+		if s.cfg.beforeWrite != nil {
+			s.cfg.beforeWrite(len(pending))
+		}
+		n, _ := s.bc.WriteBatch(dgs)
+		s.stats.ReplyDatagrams.Add(uint64(n))
+		sent, lost := 0, 0
+		for j, k := range frames {
+			if j < n {
 				sent += k
+			} else {
+				lost += k
 			}
-			s.stats.Replies.Add(uint64(sent))
+		}
+		s.stats.Replies.Add(uint64(sent))
+		if lost > 0 {
+			s.stats.DroppedReplies.Add(uint64(lost))
 		}
 	}
 }

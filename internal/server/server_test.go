@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -482,11 +484,49 @@ type sessSeq struct {
 	seq  uint64
 }
 
+// sendStall is a Config.beforeWrite hook: once armed, it holds the reply
+// sender's next send until unblock, so a burst of replies can queue behind
+// it deterministically.
+type sendStall struct {
+	armed   atomic.Bool
+	held    chan int // receives the held send's frame count
+	release chan struct{}
+	once    sync.Once
+}
+
+func newSendStall() *sendStall {
+	return &sendStall{held: make(chan int, 1), release: make(chan struct{})}
+}
+
+func (st *sendStall) hook(frames int) {
+	if st.armed.CompareAndSwap(true, false) {
+		st.held <- frames
+		<-st.release
+	}
+}
+
+// wait returns the held send's frame count.
+func (st *sendStall) wait(t *testing.T) int {
+	t.Helper()
+	select {
+	case f := <-st.held:
+		return f
+	case <-time.After(5 * time.Second):
+		t.Fatal("reply sender never sent")
+		return 0
+	}
+}
+
+// unblock lets the held send proceed; idempotent, so tests also defer it
+// to free the sender before the server's Close waits for it.
+func (st *sendStall) unblock() { st.once.Do(func() { close(st.release) }) }
+
 // TestServerPacksReplies: replies to several sessions of one client share
 // datagrams — fewer reply datagrams than reply frames.
 func TestServerPacksReplies(t *testing.T) {
-	// A long linger makes the sender collect every reply of a burst.
-	_, srv := startNode(t, Config{FlushDelay: 20 * time.Millisecond})
+	st := newSendStall()
+	defer st.unblock()
+	_, srv := startNode(t, Config{beforeWrite: st.hook})
 	rc := dialRaw(t, srv.Addr())
 	const sessions, perSession = 4, 8
 	var frames [][]byte
@@ -499,25 +539,57 @@ func TestServerPacksReplies(t *testing.T) {
 	}
 	// The counters advance once a send returns, which can be just after
 	// its replies arrived here; ReplyDatagrams is updated before Replies.
-	st := srv.Stats()
+	stats := srv.Stats()
 	awaitReplies := func(n uint64) {
-		for deadline := time.Now().Add(5 * time.Second); st.Replies.Load() < n && time.Now().Before(deadline); {
+		for deadline := time.Now().Add(5 * time.Second); stats.Replies.Load() < n && time.Now().Before(deadline); {
 			time.Sleep(time.Millisecond)
 		}
 	}
 	awaitReplies(sessions) // the opens'
-	repliesBefore, dgramsBefore := st.Replies.Load(), st.ReplyDatagrams.Load()
+	repliesBefore, dgramsBefore := stats.Replies.Load(), stats.ReplyDatagrams.Load()
+	// Hold the first send of the burst until every other reply is queued
+	// behind it: they then leave in one drain.
+	st.armed.Store(true)
 	rc.sendTrain(frames...)
+	rest := sessions*perSession - st.wait(t)
+	for deadline := time.Now().Add(5 * time.Second); len(srv.replyCh) < rest && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	st.unblock()
 	for i := 0; i < sessions*perSession; i++ {
 		if rep := rc.recv(); rep.Status != proto.ClientOK {
 			t.Fatalf("reply: %+v", rep)
 		}
 	}
 	awaitReplies(repliesBefore + sessions*perSession)
-	replies := st.Replies.Load() - repliesBefore
-	dgrams := st.ReplyDatagrams.Load() - dgramsBefore
+	replies := stats.Replies.Load() - repliesBefore
+	dgrams := stats.ReplyDatagrams.Load() - dgramsBefore
 	if replies != sessions*perSession || dgrams >= replies {
 		t.Fatalf("%d replies in %d datagrams, want %d replies in fewer datagrams", replies, dgrams, sessions*perSession)
+	}
+}
+
+// TestServerCountsFailedSends: reply frames a failed send leaves unsent
+// count as DroppedReplies instead of vanishing.
+func TestServerCountsFailedSends(t *testing.T) {
+	st := newSendStall()
+	defer st.unblock()
+	_, srv := startNode(t, Config{beforeWrite: st.hook})
+	rc := dialRaw(t, srv.Addr())
+	st.armed.Store(true)
+	rc.send(proto.ClientRequest{Op: proto.ClientOpPing, Seq: 1})
+	held := st.wait(t)
+	srv.conn.Close() // the socket dies under the held sender
+	st.unblock()
+	stats := srv.Stats()
+	for deadline := time.Now().Add(5 * time.Second); stats.DroppedReplies.Load() < uint64(held) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := stats.DroppedReplies.Load(); held != 1 || got != 1 {
+		t.Fatalf("DroppedReplies = %d after a failed send of %d frames, want 1 of 1", got, held)
+	}
+	if got := stats.Replies.Load(); got != 0 {
+		t.Fatalf("Replies = %d, want 0", got)
 	}
 }
 

@@ -89,6 +89,7 @@ type Stats struct {
 	BatchedSyscalls  atomic.Uint64 // sendmmsg/recvmmsg invocations
 	BatchedDatagrams atomic.Uint64 // datagrams moved by those invocations
 	FallbackSyscalls atomic.Uint64 // per-datagram syscalls (fallback path)
+	DroppedSend      atomic.Uint64 // staged datagrams a failed send syscall left unsent
 }
 
 // InProc is the in-process transport: one bounded channel per destination

@@ -3,6 +3,7 @@ package transport
 import (
 	"net"
 	"net/netip"
+	"sync"
 	"testing"
 	"time"
 
@@ -409,19 +410,142 @@ func TestBatchConnShortWriteRetry(t *testing.T) {
 	}
 }
 
+// flushStall is a beforeWrite hook for node 0's flusher: it holds the first
+// flush until unblock, so a burst can be staged behind it deterministically,
+// and records the size of every drained run.
+type flushStall struct {
+	held    chan struct{} // closed once the first flush is held
+	release chan struct{}
+	once    sync.Once
+	mu      sync.Mutex
+	runs    []int
+}
+
+func newFlushStall() *flushStall {
+	return &flushStall{held: make(chan struct{}), release: make(chan struct{})}
+}
+
+// install is a udpPair config hook.
+func (f *flushStall) install(c *UDPConfig) {
+	if c.LocalNode == 0 {
+		c.beforeWrite = f.hook
+	}
+}
+
+func (f *flushStall) hook(n int) {
+	f.mu.Lock()
+	f.runs = append(f.runs, n)
+	first := len(f.runs) == 1
+	f.mu.Unlock()
+	if first {
+		close(f.held)
+		<-f.release
+	}
+}
+
+// wait blocks until the first flush is held.
+func (f *flushStall) wait(t *testing.T) {
+	t.Helper()
+	select {
+	case <-f.held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("flusher never flushed")
+	}
+}
+
+// unblock lets the held flush proceed; idempotent, so tests also defer it
+// to free the flusher before the transport's Close waits for it.
+func (f *flushStall) unblock() { f.once.Do(func() { close(f.release) }) }
+
+func (f *flushStall) sizes() []int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]int(nil), f.runs...)
+}
+
+// keyed sends a one-message batch carrying key i from u to node 1.
+func keyed(u *UDP, i int) {
+	u.Send(Endpoint{Node: 1}, []proto.Message{{Kind: proto.KindESWrite, Key: uint64(i)}})
+}
+
 // TestUDPPartialBatchUnderLimit runs whole-transport traffic with a batch
-// limit forcing multi-syscall flushes: delivery stays complete.
+// limit forcing multi-syscall flushes: a burst staged behind a held flush
+// drains as one run larger than the limit, and delivery stays complete.
 func TestUDPPartialBatchUnderLimit(t *testing.T) {
-	u0, u1 := udpPair(t, func(c *UDPConfig) {
-		c.FlushDelay = 2 * time.Millisecond // encourage multi-datagram flushes
-	})
+	st := newFlushStall()
+	defer st.unblock()
+	u0, u1 := udpPair(t, st.install)
 	u0.setBatchLimit(2)
 	const n = 24
-	for i := 0; i < n; i++ {
-		u0.Send(Endpoint{Node: 1}, mkBatch(0, 1))
+	keyed(u0, 0)
+	st.wait(t)
+	for i := 1; i < n; i++ {
+		keyed(u0, i)
 	}
+	st.unblock()
 	if msgs := recvBatches(t, u1.Recv(Endpoint{Node: 1}), n, 5*time.Second); msgs != n {
 		t.Fatalf("delivered %d msgs, want %d", msgs, n)
+	}
+	if runs := st.sizes(); len(runs) != 2 || runs[1] != n-1 {
+		t.Fatalf("drained runs %v, want [1 %d] — a run larger than the limit of 2", runs, n-1)
+	}
+}
+
+// TestUDPFlushOnDrain pins the flusher's policy, flush on drain: datagrams
+// staged while a send is in flight leave together in exactly one further
+// syscall, in FIFO order, all delivered — no timer decides when.
+func TestUDPFlushOnDrain(t *testing.T) {
+	st := newFlushStall()
+	defer st.unblock()
+	u0, u1 := udpPair(t, st.install)
+	const n = 20
+	keyed(u0, 0)
+	st.wait(t)
+	for i := 1; i <= n; i++ {
+		keyed(u0, i)
+	}
+	st.unblock()
+	ch := u1.Recv(Endpoint{Node: 1})
+	for i := 0; i <= n; i++ {
+		select {
+		case b := <-ch:
+			if len(b.Msgs) != 1 || b.Msgs[0].Key != uint64(i) {
+				t.Fatalf("datagram %d carried %+v, want key %d", i, b.Msgs, i)
+			}
+			b.Release()
+		case <-time.After(5 * time.Second):
+			t.Fatalf("received %d/%d datagrams before timeout", i, n+1)
+		}
+	}
+	if runs := st.sizes(); len(runs) != 2 || runs[1] != n {
+		t.Fatalf("drained runs %v, want [1 %d]", runs, n)
+	}
+	// Node 0 only sends, so its batched-syscall count is its sendmmsgs.
+	if st := u0.Stats(); u0.Batched() && st.BatchedSyscalls.Load() != 2 {
+		t.Fatalf("%d send syscalls for %d datagrams, want 2", st.BatchedSyscalls.Load(), st.BatchedDatagrams.Load())
+	}
+}
+
+// TestUDPCountsDroppedSend: datagrams a failed send syscall leaves unsent
+// are counted in DroppedSend, not discarded silently.
+func TestUDPCountsDroppedSend(t *testing.T) {
+	st := newFlushStall()
+	defer st.unblock()
+	u0, _ := udpPair(t, st.install)
+	const n = 5
+	keyed(u0, 0)
+	st.wait(t)
+	for i := 1; i < n; i++ {
+		keyed(u0, i)
+	}
+	u0.socks[0].Close() // the socket dies under the held flusher
+	st.unblock()
+	stats := u0.Stats()
+	for deadline := time.Now().Add(5 * time.Second); stats.DroppedSend.Load() < n && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := stats.DroppedSend.Load(); got != n {
+		t.Fatalf("DroppedSend = %d, want %d", got, n)
 	}
 }
 

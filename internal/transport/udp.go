@@ -5,7 +5,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"kite/internal/proto"
 )
@@ -26,41 +25,33 @@ import (
 //	      aliasing the slot → delivered as a Batch whose Release returns
 //	      the slot to the pool once the worker has dispatched it.
 //
-// The flusher batches adaptively: a lone datagram on an idle ring goes out
-// immediately (protecting tail latency), while a burst below FlushBatch
-// lingers up to FlushDelay to pick up stragglers before the syscall —
-// flush-on-size-or-deadline, the software rendition of Kite's doorbell
-// batching (§6.2).
+// The flusher batches opportunistically and never waits for company: each
+// wake-up drains everything staged and posts it in one WriteBatch, and
+// datagrams staged while that syscall is in flight ride the next one. A
+// lone datagram on an idle ring goes out at once; under load the ring
+// fills during each syscall, so the batches grow with the offered load —
+// the software rendition of Kite's doorbell batching (§6.2).
 //
 // Like RDMA UD, UDP gives no delivery guarantee; the protocols above provide
 // their own retries and the slow-path barrier handles permanent loss.
 type UDP struct {
-	local      uint8
-	workers    int
-	socks      []*net.UDPConn
-	conns      []*BatchConn
-	rings      []*sendRing
-	peers      map[uint8][]*UDPDest // node -> per-worker destination
-	recv       []chan Batch
-	bufs       chan []byte    // datagram buffer free list
-	slots      chan *recvSlot // receive-slot free list
-	flushBatch int
-	flushDelay time.Duration
-	stats      Stats
-	closed     atomic.Bool
-	wg         sync.WaitGroup // receive loops
-	flushWg    sync.WaitGroup // flushers
+	local       uint8
+	workers     int
+	socks       []*net.UDPConn
+	conns       []*BatchConn
+	rings       []*sendRing
+	peers       map[uint8][]*UDPDest // node -> per-worker destination
+	recv        []chan Batch
+	bufs        chan []byte    // datagram buffer free list
+	slots       chan *recvSlot // receive-slot free list
+	beforeWrite func(n int)    // test hook, see UDPConfig.beforeWrite
+	stats       Stats
+	closed      atomic.Bool
+	wg          sync.WaitGroup // receive loops
+	flushWg     sync.WaitGroup // flushers
 }
 
-// Default adaptive-flush knobs: flush as soon as a drain yields FlushBatch
-// datagrams, or when DefaultFlushDelay has passed since a burst began.
-// 20µs is ~2 datagram service times on loopback — long enough to merge a
-// broadcast fan-out into one syscall, short enough to vanish under the
-// protocols' RTTs. OPERATIONS.md discusses tuning.
 const (
-	DefaultFlushBatch = 16
-	DefaultFlushDelay = 20 * time.Microsecond
-
 	// sendRingDepth bounds staged-but-unflushed datagrams per socket.
 	sendRingDepth = 1024
 	// bufPoolSize / recvSlotPoolSize bound the free lists; overflow is
@@ -97,16 +88,14 @@ type UDPConfig struct {
 	// RecvDepth bounds each worker's receive queue (DefaultMailboxDepth
 	// if zero).
 	RecvDepth int
-	// FlushBatch flushes the send ring as soon as this many datagrams are
-	// staged (DefaultFlushBatch if zero).
-	FlushBatch int
-	// FlushDelay bounds how long a sub-FlushBatch burst may linger before
-	// it is flushed (DefaultFlushDelay if zero; negative disables
-	// lingering entirely — every drain flushes immediately).
-	FlushDelay time.Duration
 	// DisableBatchIO forces the per-datagram syscall fallback even where
 	// sendmmsg/recvmmsg are available (tests, platform escape hatch).
 	DisableBatchIO bool
+
+	// beforeWrite, when set, runs on the flusher with the size of each
+	// drained run just before it is posted — the test hook that stalls a
+	// flush so a burst can be staged behind it.
+	beforeWrite func(n int)
 }
 
 // NewUDP binds the local sockets and resolves peer addresses.
@@ -119,26 +108,13 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 		depth = DefaultMailboxDepth
 	}
 	u := &UDP{
-		local:      cfg.LocalNode,
-		workers:    cfg.Workers,
-		peers:      make(map[uint8][]*UDPDest),
-		recv:       make([]chan Batch, cfg.Workers),
-		bufs:       make(chan []byte, bufPoolSize),
-		slots:      make(chan *recvSlot, recvSlotPoolSize),
-		flushBatch: cfg.FlushBatch,
-		flushDelay: cfg.FlushDelay,
-	}
-	if u.flushBatch <= 0 {
-		u.flushBatch = DefaultFlushBatch
-	}
-	if u.flushBatch > MaxIOBatch {
-		u.flushBatch = MaxIOBatch
-	}
-	switch {
-	case u.flushDelay == 0:
-		u.flushDelay = DefaultFlushDelay
-	case u.flushDelay < 0:
-		u.flushDelay = 0
+		local:       cfg.LocalNode,
+		workers:     cfg.Workers,
+		peers:       make(map[uint8][]*UDPDest),
+		recv:        make([]chan Batch, cfg.Workers),
+		bufs:        make(chan []byte, bufPoolSize),
+		slots:       make(chan *recvSlot, recvSlotPoolSize),
+		beforeWrite: cfg.beforeWrite,
 	}
 	for node, addrs := range cfg.Peers {
 		resolved := make([]*UDPDest, len(addrs))
@@ -236,15 +212,13 @@ func (u *UDP) slot() *recvSlot {
 	}
 }
 
-// flushLoop drains one socket's send ring and posts datagrams in batched
-// syscalls, with the adaptive size-or-deadline policy described on UDP.
+// flushLoop drains one socket's send ring and posts each drained run in
+// one WriteBatch, then drains again: flush on drain, no deadline. Datagrams
+// a failed syscall leaves unsent are counted in Stats.DroppedSend — loss is
+// within the transport contract, silence is not.
 func (u *UDP) flushLoop(ring *sendRing, bc *BatchConn) {
 	defer u.flushWg.Done()
 	dgs := make([]Datagram, MaxIOBatch)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	for {
 		k, done := ring.drain(dgs)
 		if k == 0 {
@@ -254,34 +228,11 @@ func (u *UDP) flushLoop(ring *sendRing, bc *BatchConn) {
 			<-ring.notify
 			continue
 		}
-		// A lone datagram on an otherwise idle ring flushes immediately —
-		// lingering there would tax p99 for nothing. A burst (k ≥ 2) below
-		// the size trigger lingers up to flushDelay for stragglers.
-		if k >= 2 && k < u.flushBatch && u.flushDelay > 0 && !done {
-			timer.Reset(u.flushDelay)
-			expired := false
-			for !expired && k < u.flushBatch && k < len(dgs) {
-				closing := false
-				select {
-				case <-ring.notify:
-					var more int
-					more, closing = ring.drain(dgs[k:])
-					k += more
-				case <-timer.C:
-					expired = true
-				}
-				if closing {
-					break
-				}
-			}
-			if !expired && !timer.Stop() {
-				<-timer.C
-			}
+		if u.beforeWrite != nil {
+			u.beforeWrite(k)
 		}
-		if _, err := bc.WriteBatch(dgs[:k]); err != nil {
-			// Socket closed or hard send error: recycle and carry on;
-			// loss is within the transport contract.
-			_ = err
+		if n, err := bc.WriteBatch(dgs[:k]); err != nil {
+			u.stats.DroppedSend.Add(uint64(k - n))
 		}
 		for i := 0; i < k; i++ {
 			u.putBuf(dgs[i].Buf)
